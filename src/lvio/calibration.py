@@ -49,7 +49,6 @@ class LidarImuExtrinsics:
 class TimeDelayConfig:
     sigma_t_bc: float = 1.0e-4  # random-walk driving noise, s/sqrt(s)
     initial_dt_bc: float = 0.0
-    initial_dt_br: float = 0.0
     prior_sigma_dt_bc: float = 0.05
     prior_sigma_dt_br: float = 0.05
 

@@ -220,7 +220,7 @@ def cmd_bench_f2m(args):
     times = []
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        estimate_f2m_pose(scan, init, pmap, min_points=20)
+        estimate_f2m_pose(scan, init, pmap)
         times.append((time.perf_counter() - t0) * 1e3)
     med = float(np.median(times))
     print(f"estimate_f2m_pose: {med:.3f} ms median over {args.repeats} runs "

@@ -217,14 +217,6 @@ def _kf_pose(window, k, cache):
     return pose
 
 
-def _whiten(r, cov, J):
-    L = cholesky(cov, lower=True)
-    rw = solve_triangular(L, r, lower=True)
-    if J is None:
-        return rw, None
-    return rw, {k: solve_triangular(L, v, lower=True) for k, v in J.items()}
-
-
 class Factor:
     kind = "generic"
     robust = False
@@ -458,7 +450,6 @@ class AssembledProblem:
     blocks: list  # ordered free parameter blocks
     factors: list
     huber_delta: float = 1.0
-    fixed: frozenset = frozenset()
 
     def __post_init__(self):
         self.index = {}
@@ -472,7 +463,6 @@ class AssembledProblem:
     @property
     def stats(self):
         counts: dict = {}
-        rdim = 0
         for f in self.factors:
             counts[f.kind] = counts.get(f.kind, 0) + 1
         return counts
@@ -661,8 +651,6 @@ class EstimatorConfig:
     imu_noise: ImuNoiseConfig = field(default_factory=ImuNoiseConfig)
     time_delay: TimeDelayConfig = field(default_factory=TimeDelayConfig)
     f2m_sigma_pt: float = 0.02
-    f2m_min_points: int = 20
-    map_leaf_size: float = 0.1
     max_cluster_points: int = 24
     min_track_length: int = 2
     max_tracks: int = 40
@@ -706,7 +694,7 @@ class Estimator:
         self.cfg = config or EstimatorConfig()
         self.window = WindowState(copy.deepcopy(cam_ext), copy.deepcopy(lid_ext),
                                   self.cfg.window_size)
-        self.map = GlobalPlaneMap(leaf_size=self.cfg.map_leaf_size)
+        self.map = GlobalPlaneMap()
         self._imu: list = []
         self._next_id = 0
         self._observations: dict = {}  # landmark_id -> list of (kf, FeatureObservation)
@@ -763,7 +751,7 @@ class Estimator:
         self._make_initial_priors(kf)
         if self.uses_f2m and bundle.scan is not None:
             insert_marginalized_frame(bundle.scan, state.pose(), self.window.lid_ext,
-                                      self.map, kf)
+                                      self.map)
 
     def _gyro_at(self, t, bg):
         if not self._imu:
@@ -777,7 +765,8 @@ class Estimator:
             for landmark_id, p_u, v_u, depth in bundle.features:
                 o = pa.FeatureObservation(kf, p_u, 1.0, v_u)
                 self._observations.setdefault(landmark_id, []).append((kf, o))
-                if depth is not None and landmark_id not in self._depths:
+                if (depth is not None and self.uses_lidar_planes
+                        and landmark_id not in self._depths):
                     self._depths[landmark_id] = (kf, float(depth[0]), float(depth[1]))
         if self.uses_lidar_planes:
             for cluster_id, p_r in bundle.clusters:
@@ -813,8 +802,7 @@ class Estimator:
             try:
                 self._f2m[kf] = estimate_f2m_pose(
                     bundle.scan, lidar_pred, self.map, keyframe_id=kf,
-                    sigma_pt=self.cfg.f2m_sigma_pt,
-                    min_points=self.cfg.f2m_min_points)
+                    sigma_pt=self.cfg.f2m_sigma_pt)
             except (F2mObservabilityError, F2mConvergenceError) as exc:
                 log.warning("F2M skipped for keyframe %d: %s", kf, exc)
 
@@ -830,19 +818,16 @@ class Estimator:
         s = self.window.keyframes[kf]
         return OdometryOutput(s.timestamp, s.pose(), s.v.copy())
 
-    def _record_yaw_std(self, problem, kf, H=None):
+    def _record_yaw_std(self, problem, kf, H):
         key = ("q", kf)
         if key not in problem.index:
             return
         try:
-            if H is not None:
-                cov_full = np.linalg.inv(H)
-                off, d = problem.index[key]
-                cov = cov_full[off:off + d, off:off + d]
-            else:
-                cov = marginal_covariance(problem, self.window, [key])
-        except (np.linalg.LinAlgError, IndefiniteSystemError):
+            cov_full = np.linalg.inv(H)
+        except np.linalg.LinAlgError:
             return
+        off, d = problem.index[key]
+        cov = cov_full[off:off + d, off:off + d]
         t = self.window.keyframes[kf].timestamp
         self.yaw_std_series.append((t, yaw_std(self.window, kf, cov)))
 
@@ -971,11 +956,9 @@ class Estimator:
         for k in ids:
             blocks += [("p", k), ("q", k), ("v", k), ("bg", k), ("ba", k), ("dt", k)]
         blocks += [("cp", -1), ("cq", -1), ("lp", -1), ("lq", -1), ("ldt", -1)]
-        fixed = frozenset()
         if not self.calibrates:
-            fixed = frozenset(b for b in blocks if b[0] in CALIB_BLOCKS)
-            blocks = [b for b in blocks if b not in fixed]
-        return AssembledProblem(blocks, factors, self.cfg.huber_delta, fixed)
+            blocks = [b for b in blocks if b[0] not in CALIB_BLOCKS]
+        return AssembledProblem(blocks, factors, self.cfg.huber_delta)
 
     # -- marginalization -----------------------------------------------------------
 
@@ -1002,7 +985,7 @@ class Estimator:
                                               state0.v.copy()))
         if self.uses_f2m and k0 in self._scans:
             insert_marginalized_frame(self._scans[k0], state0.pose(),
-                                      self.window.lid_ext, self.map, k0)
+                                      self.window.lid_ext, self.map)
         self._cleanup(k0)
 
     def _cleanup(self, k0):

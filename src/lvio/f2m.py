@@ -1,22 +1,25 @@
 """Global point-cloud map, point-to-plane association, and the F2M pose
 factor.
 
-The map keeps a voxel hash for downsampling/consistency plus a kd-tree for
-neighbor queries (rebuilt lazily after inserts). Registration estimates the
-LiDAR pose against the map by Gauss-Newton on point-to-plane distances; the
-resulting loosely-coupled pose (not the raw points) enters the sliding
-window through a 6-DoF pose residual.
+The map keeps at most one point per `leaf_size` voxel: the first point to
+arrive in a voxel is kept and later ones are dropped. Points are stored in
+insertion order in one (N, 3) array, `points`, and a kd-tree over that
+array answers neighbor queries (rebuilt lazily after inserts).
+Registration estimates the LiDAR pose against the map by Gauss-Newton on
+point-to-plane distances; the resulting loosely-coupled pose (not the raw
+points) enters the sliding window through a 6-DoF pose residual. The
+registration settings (neighbor count, search radius, gates, iteration and
+point limits) are the module constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .calibration import LidarImuExtrinsics
-from .factors import PlaneFitError, PlaneModel, fit_plane
 from .geometry import (
     Pose,
     exp_map,
@@ -25,12 +28,20 @@ from .geometry import (
     quat_multiply,
     quat_to_matrix,
     skew,
+    so3_right_jacobian,
     so3_right_jacobian_inv,
 )
 
 # Planarity gates for neighbor sets (paper-silent association details).
 PLANARITY_EIG_MAX = 0.05**2
 PLANARITY_RATIO_MAX = 0.1
+# Map downsampling leaf (m) and registration settings.
+MAP_LEAF_SIZE = 0.1
+NEIGHBORS = 5  # map points per plane fit
+MAX_NEIGHBOR_DIST = 1.0  # m, kd-tree search radius
+ASSOCIATION_GATE = 0.1  # m, point-to-plane distance at the initial pose
+MAX_ITERATIONS = 20  # Gauss-Newton iterations per trim round
+MIN_POINTS = 20  # associated points needed for a registration
 
 
 class F2mObservabilityError(RuntimeError):
@@ -56,111 +67,63 @@ class F2mPoseMeasurement:
 
 
 class GlobalPlaneMap:
-    """Accumulated world-frame point cloud with a voxel index."""
+    """World-frame point cloud, one point per occupied leaf voxel."""
 
-    def __init__(self, voxel_size: float = 0.5, leaf_size: float = 0.1):
-        self.voxel_size = voxel_size
+    def __init__(self, leaf_size: float = MAP_LEAF_SIZE):
         self.leaf_size = leaf_size
-        self._points: list[np.ndarray] = []
-        self._sources: list[int] = []
-        self._voxels: dict = {}  # voxel key -> point indices
-        self._leaves: set = set()  # occupied downsample leaves
+        self.points = np.zeros((0, 3))
+        self._leaves: set = set()  # occupied leaf voxels
         self._tree: cKDTree | None = None
-        self._arr: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self.points)
 
-    @property
-    def points(self) -> np.ndarray:
-        if not self._points:
-            return np.zeros((0, 3))
-        if self._arr is None or len(self._arr) != len(self._points):
-            self._arr = np.asarray(self._points)
-        return self._arr
-
-    def _voxel_key(self, p, size):
-        return tuple(np.floor(np.asarray(p) / size).astype(int))
-
-    def insert(self, points: np.ndarray, source_id: int = -1) -> int:
-        """Insert world-frame points with voxel downsampling.
-
-        Returns the number of points actually stored."""
+    def insert(self, points: np.ndarray) -> int:
+        """Insert world-frame points, keeping the first point of each leaf
+        voxel not yet occupied. Returns the number of points stored."""
         pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             return 0
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite map points")
-        added = 0
-        for p in pts:
-            leaf = self._voxel_key(p, self.leaf_size)
-            if leaf in self._leaves:
-                continue
-            self._leaves.add(leaf)
-            idx = len(self._points)
-            self._points.append(p.copy())
-            self._sources.append(source_id)
-            self._voxels.setdefault(self._voxel_key(p, self.voxel_size), []).append(idx)
-            added += 1
-        if added:
+        keys = np.floor(pts / self.leaf_size).astype(np.int64)
+        take = []
+        for i, leaf in enumerate(map(tuple, keys.tolist())):
+            if leaf not in self._leaves:
+                self._leaves.add(leaf)
+                take.append(i)
+        if take:
+            self.points = np.concatenate([self.points, pts[take]])
             self._tree = None
-        return added
+        return len(take)
 
-    def _kdtree(self) -> cKDTree:
-        if self._tree is None and self._points:
-            self._tree = cKDTree(np.asarray(self._points))
-        return self._tree
-
-    def nearest(self, queries: np.ndarray, k: int = 5, max_dist: float = 1.0):
+    def nearest(self, queries: np.ndarray, k: int = NEIGHBORS,
+                max_dist: float = MAX_NEIGHBOR_DIST):
         """k nearest map points for each query; distances inf when missing."""
-        tree = self._kdtree()
-        if tree is None:
-            n = len(np.atleast_2d(queries))
+        queries = np.atleast_2d(queries)
+        if not len(self.points):
+            n = len(queries)
             return np.full((n, k), np.inf), np.zeros((n, k), dtype=int)
-        d, i = tree.query(np.atleast_2d(queries), k=k,
-                          distance_upper_bound=max_dist)
+        if self._tree is None:
+            self._tree = cKDTree(self.points)
+        d, i = self._tree.query(queries, k=k, distance_upper_bound=max_dist)
         return np.atleast_2d(d), np.atleast_2d(i)
 
 
-def _planar_neighbors(neigh: np.ndarray):
-    """Fit a plane to a neighbor set; None if the planarity test fails."""
-    c = neigh.mean(axis=0)
-    q = neigh - c
-    S = q.T @ q / len(neigh)
-    w, V = np.linalg.eigh(S)
-    if w[0] > PLANARITY_EIG_MAX or (w[1] > 1e-12 and w[0] / w[1] > PLANARITY_RATIO_MAX):
-        return None
-    n = V[:, 0]
-    k = int(np.argmax(np.abs(n)))
-    if n[k] < 0:
-        n = -n
-    return PlaneModel(n, float(-n @ c))
+def associate(scan_w: np.ndarray, pmap: GlobalPlaneMap):
+    """Associate world-frame scan points with local map planes.
 
-
-def associate(point_r: np.ndarray, predicted_pose: Pose, pmap: GlobalPlaneMap,
-              k: int = 5, max_dist: float = 1.0):
-    """Associate a single LiDAR point with a local map plane (or None)."""
-    pw = predicted_pose.transform(np.asarray(point_r, dtype=float))
-    d, idx = pmap.nearest(pw, k=k, max_dist=max_dist)
-    valid = np.isfinite(d[0])
-    if valid.sum() < k:
-        return None
-    return _planar_neighbors(pmap.points[idx[0][valid]])
-
-
-def _associate_batch(scan_w: np.ndarray, pmap: GlobalPlaneMap, k: int,
-                     max_dist: float, gate: float):
-    d, idx = pmap.nearest(scan_w, k=k, max_dist=max_dist)
-    pts = pmap.points
+    Returns (keep, normals, offsets): the indices of the associated points
+    and the plane n^T x + d = 0 fitted to each one's neighbors."""
+    d, idx = pmap.nearest(scan_w)
     keep = np.flatnonzero(np.all(np.isfinite(d), axis=1))
     if len(keep) == 0:
         return keep, np.zeros((0, 3)), np.zeros(0)
-    # batched plane fit of every neighbor set (the per-point version of
-    # _planar_neighbors, vectorized over rows)
-    neigh = pts[idx[keep]]
+    # batched plane fit of every neighbor set
+    neigh = pmap.points[idx[keep]]
     c = neigh.mean(axis=1)
     q = neigh - c[:, None, :]
-    S = np.einsum("rki,rkj->rij", q, q) / k
+    S = np.einsum("rki,rkj->rij", q, q) / NEIGHBORS
     w, V = np.linalg.eigh(S)
     planar = w[:, 0] <= PLANARITY_EIG_MAX
     ratio_bad = (w[:, 1] > 1e-12) & (w[:, 0] / np.maximum(w[:, 1], 1e-300)
@@ -173,7 +136,7 @@ def _associate_batch(scan_w: np.ndarray, pmap: GlobalPlaneMap, k: int,
     # distance gate at the association pose: neighbor sets straddling
     # two surfaces can pass the planarity test with a bogus plane
     dist = np.abs(np.einsum("ri,ri->r", n, scan_w[keep]) + offsets)
-    ok = planar & (dist <= gate)
+    ok = planar & (dist <= ASSOCIATION_GATE)
     keep, normals, offsets = keep[ok], n[ok], offsets[ok]
     if len(keep) == 0:
         return keep, normals, offsets
@@ -185,39 +148,44 @@ def _associate_batch(scan_w: np.ndarray, pmap: GlobalPlaneMap, k: int,
     return keep[ok], normals[ok], offsets[ok]
 
 
+def _point_to_plane(pose: Pose, pts, normals, offsets):
+    """Point-to-plane residuals of sensor-frame points at a pose, and their
+    jacobian rows [n^T, -n^T R [p]x] = [n^T, (p x R^T n)^T]."""
+    R = pose.rotation_matrix()
+    res = np.einsum("ij,ij->i", pts @ R.T + pose.t, normals) + offsets
+    return res, np.hstack([normals, np.cross(pts, normals @ R)])
+
+
+def _check_normals(normals):
+    """Observability: the plane normals must span 3 directions."""
+    ev = np.linalg.eigvalsh(normals.T @ normals / len(normals))
+    if ev[0] < 1e-3:
+        raise F2mObservabilityError("degenerate plane-normal geometry")
+
+
 def estimate_f2m_pose(scan_r: np.ndarray, initial_pose: Pose, pmap: GlobalPlaneMap,
-                      keyframe_id: int = -1, sigma_pt: float = 0.02,
-                      max_iterations: int = 20, min_points: int = 20,
-                      k: int = 5, max_dist: float = 1.0,
-                      gate: float = 0.1) -> F2mPoseMeasurement:
+                      keyframe_id: int = -1,
+                      sigma_pt: float = 0.02) -> F2mPoseMeasurement:
     """Register a scan against the map by point-to-plane Gauss-Newton.
 
     Associations are made once at the initial pose; points farther than
-    `gate` from their fitted plane there are treated as mismatches and
-    dropped. The 6-DoF pose is then refined. Covariance =
+    ASSOCIATION_GATE from their fitted plane there are treated as
+    mismatches and dropped. The 6-DoF pose is then refined. Covariance =
     sigma_pt^2 (J^T J)^-1 at convergence.
     """
     scan = np.asarray(scan_r, dtype=float)
     if len(pmap) == 0:
         raise F2mObservabilityError("empty map")
     pose = initial_pose
-    keep, normals, offsets = _associate_batch(pose.transform(scan), pmap, k,
-                                              max_dist, gate)
-    if len(keep) < min_points:
+    keep, normals, offsets = associate(pose.transform(scan), pmap)
+    if len(keep) < MIN_POINTS:
         raise F2mObservabilityError(f"only {len(keep)} associated points")
-    # observability: the normals must span 3 directions
-    ev = np.linalg.eigvalsh(normals.T @ normals / len(normals))
-    if ev[0] < 1e-3:
-        raise F2mObservabilityError("degenerate plane-normal geometry")
+    _check_normals(normals)
 
     pts = scan[keep]
     for trim_round in range(3):
-        for it in range(max_iterations):
-            R = pose.rotation_matrix()
-            pw = pts @ R.T + pose.t
-            res = np.einsum("ij,ij->i", pw, normals) + offsets
-            # J rows: [n^T, -n^T R [p]x] = [n^T, (p x R^T n)^T]
-            J = np.hstack([normals, np.cross(pts, normals @ R)])
+        for it in range(MAX_ITERATIONS):
+            res, J = _point_to_plane(pose, pts, normals, offsets)
             H = J.T @ J
             b = J.T @ res
             try:
@@ -234,23 +202,17 @@ def estimate_f2m_pose(scan_r: np.ndarray, initial_pose: Pose, pmap: GlobalPlaneM
         # trim residual mismatches that survived the association gate; the
         # threshold follows the observed residual scale so exact data keeps
         # only exact matches while noisy data keeps the 3-sigma band
-        R = pose.rotation_matrix()
-        res = np.einsum("ij,ij->i", pts @ R.T + pose.t, normals) + offsets
+        res, _ = _point_to_plane(pose, pts, normals, offsets)
         scale = 1.4826 * np.median(np.abs(res))
         inlier = np.abs(res) < np.clip(3.0 * scale, 1e-8, 3.0 * sigma_pt)
         if inlier.all():
             break
-        if inlier.sum() < min_points:
+        if inlier.sum() < MIN_POINTS:
             raise F2mObservabilityError(
                 f"only {int(inlier.sum())} inlier points after trimming")
         pts, normals, offsets = pts[inlier], normals[inlier], offsets[inlier]
-        ev = np.linalg.eigvalsh(normals.T @ normals / len(normals))
-        if ev[0] < 1e-3:
-            raise F2mObservabilityError("degenerate plane-normal geometry")
-    R = pose.rotation_matrix()
-    pw = pts @ R.T + pose.t
-    res = np.einsum("ij,ij->i", pw, normals) + offsets
-    J = np.hstack([normals, np.cross(pts, normals @ R)])
+        _check_normals(normals)
+    _, J = _point_to_plane(pose, pts, normals, offsets)
     cov = sigma_pt**2 * np.linalg.inv(J.T @ J)
     return F2mPoseMeasurement(keyframe_id, pose, 0.5 * (cov + cov.T))
 
@@ -286,7 +248,7 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     kf = meas.keyframe_id
     Rrb = quat_to_matrix(ext.q_rb)
     Jr_inv = so3_right_jacobian_inv(r_q)
-    Jrphi = np.eye(3) if delta == 0.0 else _right_jac(phi)
+    Jrphi = np.eye(3) if delta == 0.0 else so3_right_jacobian(phi)
     C = Rrb @ Rm.T
     B = E @ C
 
@@ -319,18 +281,11 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     return r, meas.covariance, J
 
 
-def _right_jac(phi):
-    from .geometry import so3_right_jacobian
-
-    return so3_right_jacobian(phi)
-
-
 def insert_marginalized_frame(scan_r: np.ndarray, final_body_pose: Pose,
-                              ext: LidarImuExtrinsics, pmap: GlobalPlaneMap,
-                              keyframe_id: int = -1) -> int:
+                              ext: LidarImuExtrinsics, pmap: GlobalPlaneMap) -> int:
     """Append the world-frame points of a finalized keyframe to the map."""
     lidar_pose = final_body_pose.compose(ext.pose())
-    return pmap.insert(lidar_pose.transform(np.asarray(scan_r, dtype=float)), keyframe_id)
+    return pmap.insert(lidar_pose.transform(np.asarray(scan_r, dtype=float)))
 
 
 def export_ply(pmap_or_points, path, colors=None):

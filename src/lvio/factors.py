@@ -126,10 +126,6 @@ def camera_pose_from_state(body: Pose, ext: CameraImuExtrinsics) -> Pose:
     return body.compose(ext.pose())
 
 
-def lidar_pose_from_state(body: Pose, ext: LidarImuExtrinsics) -> Pose:
-    return body.compose(ext.pose())
-
-
 def pose_only_depth(u_zeta, u_eta, pose_zeta: Pose, pose_eta: Pose,
                     theta_min: float = THETA_MIN):
     """Landmark depth in the zeta camera from the two anchor poses.

@@ -12,7 +12,9 @@ Gravity is a fixed known constant in the world frame (default
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .geometry import (
 )
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
+_STAMP = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -49,9 +52,6 @@ class ImuNoiseConfig:
     accel_noise: float = 2.0e-2  # m/s^2/sqrt(Hz)
     gyro_bias_walk: float = 1.0e-5  # rad/s^2/sqrt(Hz)
     accel_bias_walk: float = 1.0e-4  # m/s^3/sqrt(Hz)
-    # Earth-rotation compensation hook; consumer-grade IMUs assumed, so the
-    # correction is off by default and currently unimplemented.
-    earth_rotation: bool = False
 
 
 @dataclass
@@ -311,19 +311,19 @@ def mechanize(state, samples, gravity=GRAVITY_W):
 
 
 def slice_samples(samples, t0: float, t1: float):
-    """Slice an IMU stream to [t0, t1], interpolating boundary samples.
+    """Slice a time-sorted IMU sample list to [t0, t1], interpolating
+    boundary samples.
 
     The returned sequence starts exactly at t0 and ends exactly at t1 so
-    preintegration durations match keyframe intervals.
+    preintegration durations match keyframe intervals. The bounds are found
+    by bisection; the stream itself is not copied.
     """
-    samples = list(samples)
-    times = np.array([s.timestamp for s in samples])
-    if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
+    if t0 < samples[0].timestamp - 1e-9 or t1 > samples[-1].timestamp + 1e-9:
         raise ValueError("requested interval outside the IMU stream")
 
     def interp(t):
-        i = int(np.searchsorted(times, t))
-        if i < len(times) and abs(times[i] - t) < 1e-12:
+        i = bisect.bisect_left(samples, t, key=_STAMP)
+        if i < len(samples) and abs(samples[i].timestamp - t) < 1e-12:
             return samples[i]
         lo, hi = samples[i - 1], samples[i]
         a = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
@@ -333,5 +333,6 @@ def slice_samples(samples, t0: float, t1: float):
             (1 - a) * lo.specific_force + a * hi.specific_force,
         )
 
-    inner = [s for s in samples if t0 + 1e-12 < s.timestamp < t1 - 1e-12]
-    return [interp(t0)] + inner + [interp(t1)]
+    i0 = bisect.bisect_right(samples, t0 + 1e-12, key=_STAMP)
+    i1 = bisect.bisect_left(samples, t1 - 1e-12, key=_STAMP)
+    return [interp(t0)] + samples[i0:i1] + [interp(t1)]

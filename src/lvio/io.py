@@ -146,7 +146,7 @@ def read_ply(path):
         pts = []
         for _ in range(n):
             pts.append([float(x) for x in f.readline().split()[:3]])
-    return np.asarray(pts)
+    return np.asarray(pts, dtype=float).reshape(-1, 3)
 
 
 def read_config(path):

@@ -666,7 +666,7 @@ def _box_room_points(rng, n_per_face, half=5.0):
 def test_criterion_10_f2m_registration_speed():
     rng = np.random.default_rng(10)
     pmap = GlobalPlaneMap(leaf_size=0.05)
-    pmap.insert(_box_room_points(rng, 600), source_id=0)
+    pmap.insert(_box_room_points(rng, 600))
     true_pose = Pose(np.array([0.3, -0.4, 0.2]), exp_map(np.array([0.02, 0.05, -0.3])))
     pts_w = _box_room_points(rng, 2000 // 6 + 1)[:2000]
     scan = (pts_w - true_pose.t) @ true_pose.rotation_matrix()

@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+import lvio.factors as pa
 from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
 from lvio.estimator import (
     AssembledProblem,
@@ -351,6 +352,30 @@ def test_track_in_three_frames_gives_two_visual_factors():
     problem = est.build_problem()
     assert problem.stats.get("depth", 0) == 2
     assert problem.stats.get("visual", 0) == 0
+
+
+def test_vio_mode_stores_no_lidar_depth():
+    est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig(mode="vio"))
+    samples = [ImuSample(k / 100.0, np.zeros(3), np.array([0.5, 0, 9.81]))
+               for k in range(101)]
+    est.set_imu(samples)
+    X = np.array([1.0, 3.0, 0.5])
+    p_u = np.array([X[0] / X[2], X[1] / X[2], 1.0])
+    feature = (77, p_u, np.zeros(2), (float(np.linalg.norm(X)), 0.05))
+    est.initialize(FrameBundle(0.0, features=[feature]), np.zeros(3),
+                   np.array([1.0, 0, 0, 0]), np.zeros(3))
+    est.process_frame(FrameBundle(0.3))
+    est.process_frame(FrameBundle(0.6))
+    for kf in est.window.ordered_ids()[1:]:
+        cam = est.window.keyframes[kf].pose()  # identity extrinsics: camera = body
+        x = cam.inverse().transform(X)
+        est._observations[77].append(
+            (kf, pa.FeatureObservation(kf, np.array([x[0] / x[2], x[1] / x[2], 1.0]),
+                                       1.0, np.zeros(2))))
+    assert est._depths == {}
+    stats = est.build_problem().stats
+    assert "depth" not in stats
+    assert stats.get("visual", 0) == 2
 
 
 def test_mode_flags():

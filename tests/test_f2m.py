@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lvio import evaluate, io
 from lvio.calibration import LidarImuExtrinsics
 from lvio.f2m import (
     F2mObservabilityError,
@@ -33,7 +36,7 @@ def box_room_points(rng, n_per_face=400, half=5.0):
 @pytest.fixture
 def room_map(rng):
     pmap = GlobalPlaneMap(leaf_size=0.05)
-    pmap.insert(box_room_points(rng), source_id=0)
+    pmap.insert(box_room_points(rng))
     return pmap
 
 
@@ -51,6 +54,44 @@ def test_map_insert_rejects_nonfinite():
         pmap.insert(np.array([[np.nan, 0, 0]]))
 
 
+def _reference_insert(stored, leaves, pts, leaf_size):
+    """Point-by-point map insertion: keep a point when its leaf voxel is
+    still free."""
+    added = 0
+    for p in np.asarray(pts, dtype=float):
+        leaf = tuple(np.floor(p / leaf_size).astype(int))
+        if leaf not in leaves:
+            leaves.add(leaf)
+            stored.append(p.copy())
+            added += 1
+    return added
+
+
+_coords = st.floats(-0.35, 0.35, allow_nan=False, width=64)
+_batch = st.lists(st.tuples(_coords, _coords, _coords), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batches=st.lists(_batch, min_size=1, max_size=5),
+       leaf_size=st.sampled_from([0.05, 0.1, 0.3]))
+def test_map_insert_matches_point_by_point_reference(batches, leaf_size):
+    # a cube 0.7 m wide: each leaf receives many points over the batches
+    pmap = GlobalPlaneMap(leaf_size=leaf_size)
+    stored, leaves = [], set()
+    for batch in batches:
+        pts = np.array(batch, dtype=float).reshape(-1, 3)
+        assert pmap.insert(pts) == _reference_insert(stored, leaves, pts, leaf_size)
+        assert len(pmap) == len(stored)
+        np.testing.assert_array_equal(pmap.points, np.array(stored).reshape(-1, 3))
+    # a batch holding a non-finite value is refused whole
+    before = pmap.points.copy()
+    with pytest.raises(ValueError):
+        pmap.insert(np.array([[5.0, 5.0, 5.0], [np.nan, 0.0, 0.0]]))
+    np.testing.assert_array_equal(pmap.points, before)
+    assert pmap.insert(np.zeros((0, 3))) == 0
+    assert len(pmap) == len(stored)
+
+
 def test_map_nearest_empty():
     pmap = GlobalPlaneMap()
     d, i = pmap.nearest(np.zeros((2, 3)), k=3)
@@ -58,13 +99,14 @@ def test_map_nearest_empty():
 
 
 def test_associate_on_plane(room_map):
-    plane = associate(np.array([0.0, 0.0, -5.0]), Pose.identity(), room_map)
-    assert plane is not None
-    assert abs(abs(plane.normal[2]) - 1.0) < 0.05
+    keep, normals, offsets = associate(np.array([[0.0, 0.0, -5.0]]), room_map)
+    assert list(keep) == [0]
+    assert abs(abs(normals[0, 2]) - 1.0) < 0.05
 
 
 def test_associate_far_point(room_map):
-    assert associate(np.array([100.0, 0, 0]), Pose.identity(), room_map) is None
+    keep, normals, offsets = associate(np.array([[100.0, 0, 0]]), room_map)
+    assert len(keep) == 0 and normals.shape == (0, 3) and offsets.shape == (0,)
 
 
 def scan_from_pose(rng, pose, n=600, half=5.0):
@@ -167,7 +209,7 @@ def test_insert_marginalized_frame(rng):
     pmap = GlobalPlaneMap(leaf_size=0.05)
     body = rand_pose(rng)
     scan = rng.normal(size=(100, 3))
-    n = insert_marginalized_frame(scan, body, IDENT_LEXT, pmap, keyframe_id=1)
+    n = insert_marginalized_frame(scan, body, IDENT_LEXT, pmap)
     assert n > 0
     # the stored points are the world-frame scan
     pw = body.transform(scan)
@@ -183,3 +225,14 @@ def test_export_ply(tmp_path, rng):
     assert text[0] == "ply"
     assert "element vertex 5" in text
     assert len(text) == 10 + 5  # header lines + points
+
+
+def test_empty_map_round_trip(tmp_path):
+    path = tmp_path / "empty.ply"
+    export_ply(GlobalPlaneMap(), path)
+    pts = io.read_ply(path)
+    assert pts.shape == (0, 3)
+    colors, valid = evaluate.colorize_points(
+        pts, np.zeros((4, 4, 3), np.uint8),
+        Pose(np.zeros(3), np.array([1.0, 0, 0, 0])), 1.0)
+    assert colors.shape == (0, 3) and valid.shape == (0,)

@@ -233,3 +233,15 @@ def test_slice_samples_interpolates_boundaries():
     assert abs(part[-1].timestamp - 0.789) < 1e-12
     times = [s.timestamp for s in part]
     assert all(b > a for a, b in zip(times, times[1:]))
+
+
+def test_slice_samples_bounds_on_samples():
+    samples = _wavy_samples(duration=1.0)
+    part = slice_samples(samples, samples[40].timestamp, samples[300].timestamp)
+    # both ends fall on samples: they are returned as is, nothing interpolated
+    assert len(part) == 261
+    assert all(a is b for a, b in zip(part, samples[40:301]))
+    with pytest.raises(ValueError):
+        slice_samples(samples, -0.1, 0.5)
+    with pytest.raises(ValueError):
+        slice_samples(samples, 0.5, samples[-1].timestamp + 0.1)
