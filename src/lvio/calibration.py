@@ -6,16 +6,31 @@ Timestamp conventions (IMU clock t_b is the reference):
 
 dt_bc is modeled as a random-walk process and carried per keyframe;
 dt_br is a random constant shared by the whole window.
+
+The two time-delay compensations live here and nowhere else:
+`compensate_feature` shifts a feature observation (used by the visual and
+LiDAR-depth residuals in `factors`), and `compensate_lidar_pose` moves a
+body pose to the LiDAR sampling instant (used by the LiDAR plane residual
+in `factors` and the F2M pose residual in `f2m`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, exp_map, quat_conjugate, quat_multiply, quat_normalize, quat_rotate
+from .geometry import (
+    Pose,
+    exp_map,
+    quat_conjugate,
+    quat_multiply,
+    quat_normalize,
+    quat_rotate,
+    quat_to_matrix,
+    so3_right_jacobian,
+)
 
 
 @dataclass
@@ -49,12 +64,10 @@ class LidarImuExtrinsics:
 class TimeDelayConfig:
     sigma_t_bc: float = 1.0e-4  # random-walk driving noise, s/sqrt(s)
     initial_dt_bc: float = 0.0
-    prior_sigma_dt_bc: float = 0.05
-    prior_sigma_dt_br: float = 0.05
 
     def __post_init__(self):
-        if self.sigma_t_bc <= 0 or self.prior_sigma_dt_bc <= 0 or self.prior_sigma_dt_br <= 0:
-            raise ValueError("time-delay sigmas must be positive")
+        if self.sigma_t_bc <= 0:
+            raise ValueError("time-delay random-walk sigma must be positive")
 
 
 def compensate_feature(p_u: np.ndarray, v_u: np.ndarray, delta_t: float) -> np.ndarray:
@@ -78,16 +91,35 @@ def time_delay_residual(dt_bc_prev: float, dt_bc_cur: float, interval: float,
     return dt_bc_cur - dt_bc_prev, cfg.sigma_t_bc**2 * interval
 
 
-def compensate_lidar_pose(pose: Pose, delta_t: float, velocity: np.ndarray,
-                          angular_rate: np.ndarray) -> Pose:
-    """Shift a body pose to the actual LiDAR sampling instant.
+@dataclass
+class CompensatedLidarPose:
+    """A body pose moved to the LiDAR sampling instant, with the terms the
+    residual jacobians reuse."""
 
-    p <- p + v dt, q <- q (x) Exp(w dt); the result feeds the LiDAR
-    residuals and the F2M pose residual.
+    t: np.ndarray  # p + v delta
+    q: np.ndarray  # q (x) Exp(w delta)
+    R: np.ndarray  # rotation matrix of the pose before the shift
+    E: np.ndarray  # rotation matrix of Exp(w delta)
+    RE: np.ndarray  # R E, the rotation matrix of q
+    Jr: np.ndarray  # SO(3) right jacobian at w delta
+    delta: float
+
+
+def compensate_lidar_pose(pose: Pose, delta_t: float, velocity: np.ndarray,
+                          angular_rate: np.ndarray) -> CompensatedLidarPose:
+    """Shift a body pose to the actual LiDAR sampling instant by the
+    constant-motion model: p <- p + v dt, q <- q (x) Exp(w dt).
+
+    delta_t is the estimated LiDAR delay minus the delay the frame was
+    preprocessed with.
     """
-    p = pose.t + np.asarray(velocity, float) * delta_t
-    q = quat_multiply(pose.q, exp_map(np.asarray(angular_rate, float) * delta_t))
-    return Pose(p, q)
+    phi = np.asarray(angular_rate, float) * delta_t
+    dq = exp_map(phi)
+    R = pose.rotation_matrix()
+    E = quat_to_matrix(dq)
+    return CompensatedLidarPose(pose.t + np.asarray(velocity, float) * delta_t,
+                                quat_multiply(pose.q, dq), R, E, R @ E,
+                                so3_right_jacobian(phi), delta_t)
 
 
 def lidar_camera_extrinsics(cam: CameraImuExtrinsics, lid: LidarImuExtrinsics):
@@ -104,8 +136,6 @@ def pixel_angle_deg(pixel_size: float, focal_length: float) -> float:
 
 
 def _euler_zyx_deg(q: np.ndarray) -> np.ndarray:
-    from .geometry import quat_to_matrix
-
     R = quat_to_matrix(q)
     pitch = math.asin(np.clip(-R[2, 0], -1.0, 1.0))
     roll = math.atan2(R[2, 1], R[2, 2])

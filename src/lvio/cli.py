@@ -17,7 +17,7 @@ from .calibration import (
     TimeDelayConfig,
     calibration_report,
 )
-from .estimator import Estimator, EstimatorConfig, FrameBundle, marginal_covariance
+from .estimator import MODES, Estimator, EstimatorConfig, FrameBundle, marginal_covariance
 from .f2m import GlobalPlaneMap, estimate_f2m_pose, export_ply
 from .geometry import Pose, exp_map, quat_multiply, quat_normalize
 from .imu import ImuNoiseConfig
@@ -102,9 +102,13 @@ def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | No
     est.set_imu(imu)
     est.initialize(bundles[0], p, q, v, bg, ba,
                    dt_bc=config.time_delay.initial_dt_bc)
+    # frames are preprocessed with the LiDAR delay fixed at initialization:
+    # process_frame integrates the IMU up to stamp + dthat_br, whatever the
+    # current delay estimate
+    dthat_br = est.window.keyframes[est.window.ordered_ids()[-1]].dthat_br
     t_max = imu[-1].timestamp
     for bundle in bundles[1:]:
-        if bundle.stamp + est.window.lid_ext.dt_br > t_max:
+        if bundle.stamp + dthat_br > t_max:
             break
         est.process_frame(bundle)
     return est
@@ -240,8 +244,7 @@ def make_parser():
 
     p = sub.add_parser("run", help="run the estimator on a data directory")
     p.add_argument("data_dir")
-    p.add_argument("--mode", default="full",
-                   choices=["full", "no_f2m", "marg_f2m", "no_calib", "lio", "vio"])
+    p.add_argument("--mode", default="full", choices=MODES)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--traj")
     p.add_argument("--calib-report")

@@ -61,8 +61,27 @@ BLOCK_DIMS = {
     "p": 3, "q": 3, "v": 3, "bg": 3, "ba": 3, "dt": 1,
     "cp": 3, "cq": 3, "lp": 3, "lq": 3, "ldt": 1,
 }
+# where each block lives: (owner, attribute), the owner being the keyframe
+# named by the block's id or one of the window's extrinsics objects
+BLOCK_ATTRS = {
+    "p": ("keyframe", "p"), "q": ("keyframe", "q"), "v": ("keyframe", "v"),
+    "bg": ("keyframe", "bg"), "ba": ("keyframe", "ba"), "dt": ("keyframe", "dt_bc"),
+    "cp": ("cam_ext", "p_bc"), "cq": ("cam_ext", "q_cb"),
+    "lp": ("lid_ext", "p_br"), "lq": ("lid_ext", "q_rb"), "ldt": ("lid_ext", "dt_br"),
+}
 QUAT_BLOCKS = ("q", "cq", "lq")
 CALIB_BLOCKS = ("dt", "cp", "cq", "lp", "lq", "ldt")
+
+# Standard deviations of the anchor priors set at initialization, per block.
+ANCHOR_PRIOR_SIGMAS = {
+    "p": 1e-3, "q": 1e-3, "v": 0.05, "bg": 5e-3, "ba": 5e-2,
+    "dt": 0.05, "cp": 0.05, "cq": 0.05, "lp": 0.05, "lq": 0.05, "ldt": 0.05,
+}
+HUBER_DELTA = 1.0  # whitened-residual norm where the robust cost turns linear
+GRAD_TOL = 1e-10  # LM stops when the gradient's largest entry is below this
+# Sanity bounds on the bias norms of a keyframe state.
+MAX_GYRO_BIAS = 0.1  # rad/s
+MAX_ACCEL_BIAS = 2.0  # m/s^2
 
 
 @dataclass
@@ -77,18 +96,15 @@ class KeyframeState:
     dthat_br: float = 0.0  # LiDAR delay the frame was preprocessed with
     angular_rate: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
-    max_gyro_bias: float = 0.1
-    max_accel_bias: float = 2.0
-
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.q = quat_normalize(self.q)
         self.v = np.asarray(self.v, dtype=float)
         self.bg = np.asarray(self.bg, dtype=float)
         self.ba = np.asarray(self.ba, dtype=float)
-        if np.linalg.norm(self.bg) >= self.max_gyro_bias:
+        if np.linalg.norm(self.bg) >= MAX_GYRO_BIAS:
             raise ValueError("gyro bias outside sanity bound")
-        if np.linalg.norm(self.ba) >= self.max_accel_bias:
+        if np.linalg.norm(self.ba) >= MAX_ACCEL_BIAS:
             raise ValueError("accel bias outside sanity bound")
 
     def pose(self) -> Pose:
@@ -103,9 +119,6 @@ class PriorInfo:
     lin: dict
     sqrt_info: np.ndarray
     r0: np.ndarray
-
-    def dims(self):
-        return [BLOCK_DIMS[k[0]] for k in self.keys]
 
 
 class WindowState:
@@ -135,62 +148,26 @@ class WindowState:
 
     # parameter-block access -------------------------------------------------
 
+    def _owner(self, key):
+        owner, attr = BLOCK_ATTRS[key[0]]
+        return (self.keyframes[key[1]] if owner == "keyframe"
+                else getattr(self, owner)), attr
+
     def get_block(self, key):
-        name, k = key
-        if name == "p":
-            return self.keyframes[k].p
-        if name == "q":
-            return self.keyframes[k].q
-        if name == "v":
-            return self.keyframes[k].v
-        if name == "bg":
-            return self.keyframes[k].bg
-        if name == "ba":
-            return self.keyframes[k].ba
-        if name == "dt":
-            return np.array([self.keyframes[k].dt_bc])
-        if name == "cp":
-            return self.cam_ext.p_bc
-        if name == "cq":
-            return self.cam_ext.q_cb
-        if name == "lp":
-            return self.lid_ext.p_br
-        if name == "lq":
-            return self.lid_ext.q_rb
-        if name == "ldt":
-            return np.array([self.lid_ext.dt_br])
-        raise KeyError(key)
+        obj, attr = self._owner(key)
+        value = getattr(obj, attr)
+        return np.array([value]) if BLOCK_DIMS[key[0]] == 1 else value
 
     def retract(self, key, delta):
-        name, k = key
+        obj, attr = self._owner(key)
+        value = getattr(obj, attr)
         delta = np.asarray(delta, dtype=float)
-        if name in QUAT_BLOCKS:
-            q = quat_multiply(self.get_block(key), exp_map(delta))
-            if name == "q":
-                self.keyframes[k].q = q
-            elif name == "cq":
-                self.cam_ext.q_cb = q
-            else:
-                self.lid_ext.q_rb = q
-            return
-        if name == "p":
-            self.keyframes[k].p = self.keyframes[k].p + delta
-        elif name == "v":
-            self.keyframes[k].v = self.keyframes[k].v + delta
-        elif name == "bg":
-            self.keyframes[k].bg = self.keyframes[k].bg + delta
-        elif name == "ba":
-            self.keyframes[k].ba = self.keyframes[k].ba + delta
-        elif name == "dt":
-            self.keyframes[k].dt_bc += float(delta[0])
-        elif name == "cp":
-            self.cam_ext.p_bc = self.cam_ext.p_bc + delta
-        elif name == "lp":
-            self.lid_ext.p_br = self.lid_ext.p_br + delta
-        elif name == "ldt":
-            self.lid_ext.dt_br += float(delta[0])
+        if key[0] in QUAT_BLOCKS:
+            setattr(obj, attr, quat_multiply(value, exp_map(delta)))
+        elif BLOCK_DIMS[key[0]] == 1:
+            setattr(obj, attr, value + float(delta[0]))
         else:
-            raise KeyError(key)
+            setattr(obj, attr, value + delta)
 
 
 def boxminus(name: str, value, reference) -> np.ndarray:
@@ -449,7 +426,6 @@ def huber_cost(residual_norm: float, delta: float) -> float:
 class AssembledProblem:
     blocks: list  # ordered free parameter blocks
     factors: list
-    huber_delta: float = 1.0
 
     def __post_init__(self):
         self.index = {}
@@ -473,7 +449,7 @@ class AssembledProblem:
         for f in self.factors:
             r, _ = f.evaluate(window, cache=cache)
             n = float(np.linalg.norm(r))
-            total += huber_cost(n, self.huber_delta) if f.robust else n * n
+            total += huber_cost(n, HUBER_DELTA) if f.robust else n * n
         return total
 
     def linearize(self, window: WindowState):
@@ -486,8 +462,8 @@ class AssembledProblem:
             r, J = f.evaluate(window, want_jacobian=True, cache=cache)
             n = float(np.linalg.norm(r))
             if f.robust:
-                cost += huber_cost(n, self.huber_delta)
-                w = robust_weight(n, self.huber_delta)
+                cost += huber_cost(n, HUBER_DELTA)
+                w = robust_weight(n, HUBER_DELTA)
             else:
                 cost += n * n
                 w = 1.0
@@ -516,8 +492,7 @@ class SolveStats:
 
 
 def lm_solve(problem: AssembledProblem, window: WindowState,
-             max_iterations: int = 30, rel_tol: float = 1e-8,
-             grad_tol: float = 1e-10) -> SolveStats:
+             max_iterations: int = 30, rel_tol: float = 1e-8) -> SolveStats:
     """Levenberg-Marquardt on the manifold, updating window in place."""
     lam = 1e-6
     stats = SolveStats()
@@ -525,7 +500,7 @@ def lm_solve(problem: AssembledProblem, window: WindowState,
     stats.initial_cost = cost
     for it in range(max_iterations):
         stats.iterations = it + 1
-        if np.linalg.norm(g, np.inf) < grad_tol:
+        if np.linalg.norm(g, np.inf) < GRAD_TOL:
             stats.converged = True
             break
         accepted = False
@@ -644,7 +619,6 @@ def yaw_std(window: WindowState, kf_id: int, cov_q: np.ndarray) -> float:
 class EstimatorConfig:
     window_size: int = 10
     mode: str = "full"
-    huber_delta: float = 1.0
     sigma_u: float = 1e-3  # normalized-coordinate pixel noise
     max_iterations: int = 12
     rel_tol: float = 1e-8  # relative cost-decrease convergence threshold
@@ -652,19 +626,8 @@ class EstimatorConfig:
     time_delay: TimeDelayConfig = field(default_factory=TimeDelayConfig)
     f2m_sigma_pt: float = 0.02
     max_cluster_points: int = 24
-    min_track_length: int = 2
     max_tracks: int = 40
     max_clusters: int = 30
-    # initial prior standard deviations
-    sigma_p0: float = 1e-3
-    sigma_q0: float = 1e-3
-    sigma_v0: float = 0.05
-    sigma_bg0: float = 5e-3
-    sigma_ba0: float = 5e-2
-    sigma_cam_t: float = 0.05
-    sigma_cam_r: float = 0.05
-    sigma_lid_t: float = 0.05
-    sigma_lid_r: float = 0.05
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -763,7 +726,7 @@ class Estimator:
     def _store_measurements(self, kf, bundle: FrameBundle):
         if self.uses_camera:
             for landmark_id, p_u, v_u, depth in bundle.features:
-                o = pa.FeatureObservation(kf, p_u, 1.0, v_u)
+                o = pa.FeatureObservation(kf, p_u, v_u)
                 self._observations.setdefault(landmark_id, []).append((kf, o))
                 if (depth is not None and self.uses_lidar_planes
                         and landmark_id not in self._depths):
@@ -835,28 +798,15 @@ class Estimator:
 
     def _make_initial_priors(self, k0: int):
         """Anchor priors, created once at initialization time."""
-        s0 = self.window.keyframes[k0]
-        cfg = self.cfg
-        out = [
-            GaussianPriorFactor(("p", k0), s0.p.copy(), cfg.sigma_p0),
-            GaussianPriorFactor(("q", k0), s0.q.copy(), cfg.sigma_q0),
-            GaussianPriorFactor(("v", k0), s0.v.copy(), cfg.sigma_v0),
-            GaussianPriorFactor(("bg", k0), s0.bg.copy(), cfg.sigma_bg0),
-            GaussianPriorFactor(("ba", k0), s0.ba.copy(), cfg.sigma_ba0),
-        ]
+        keys = [("p", k0), ("q", k0), ("v", k0), ("bg", k0), ("ba", k0)]
         if self.calibrates:
-            ext_c, ext_l = self.window.cam_ext, self.window.lid_ext
-            out += [
-                GaussianPriorFactor(("dt", k0), np.array([s0.dt_bc]),
-                                    cfg.time_delay.prior_sigma_dt_bc),
-                GaussianPriorFactor(("cp", -1), ext_c.p_bc.copy(), cfg.sigma_cam_t),
-                GaussianPriorFactor(("cq", -1), ext_c.q_cb.copy(), cfg.sigma_cam_r),
-                GaussianPriorFactor(("lp", -1), ext_l.p_br.copy(), cfg.sigma_lid_t),
-                GaussianPriorFactor(("lq", -1), ext_l.q_rb.copy(), cfg.sigma_lid_r),
-                GaussianPriorFactor(("ldt", -1), np.array([ext_l.dt_br]),
-                                    cfg.time_delay.prior_sigma_dt_br),
-            ]
-        self._static_priors = out
+            keys += [("dt", k0), ("cp", -1), ("cq", -1), ("lp", -1), ("lq", -1),
+                     ("ldt", -1)]
+        self._static_priors = [
+            GaussianPriorFactor(key, np.array(self.window.get_block(key), copy=True),
+                                ANCHOR_PRIOR_SIGMAS[key[0]])
+            for key in keys
+        ]
 
     def _tracks_in_window(self):
         ids = set(self.window.keyframes)
@@ -865,10 +815,9 @@ class Estimator:
                  for k in ids}
         tracks = []
         for landmark_id, obs_list in self._observations.items():
-            in_win = [(k, o) for k, o in obs_list if k in ids]
-            if len(in_win) < max(2, self.cfg.min_track_length):
+            observations = [o for k, o in obs_list if k in ids]
+            if len(observations) < 2:
                 continue
-            observations = [o for _, o in in_win]
             depth = self._depths.get(landmark_id)
             lidar_depth = None
             zeta = None
@@ -876,14 +825,7 @@ class Estimator:
                 zeta = depth[0]
                 lidar_depth = (depth[1], depth[2])
             try:
-                probe = pa.LandmarkTrack(
-                    landmark_id, observations,
-                    observations[0].keyframe_id if zeta is None else zeta,
-                    observations[-1].keyframe_id
-                    if observations[-1].keyframe_id != (observations[0].keyframe_id if zeta is None else zeta)
-                    else observations[0].keyframe_id,
-                    lidar_depth=lidar_depth)
-                z, e = pa.select_anchors(probe, poses)
+                z, e = pa.select_anchors(observations, poses, zeta)
                 track = pa.LandmarkTrack(landmark_id, observations, z, e,
                                          lidar_depth=lidar_depth)
             except (pa.DegenerateParallaxError, ValueError, KeyError):
@@ -958,7 +900,7 @@ class Estimator:
         blocks += [("cp", -1), ("cq", -1), ("lp", -1), ("lq", -1), ("ldt", -1)]
         if not self.calibrates:
             blocks = [b for b in blocks if b[0] not in CALIB_BLOCKS]
-        return AssembledProblem(blocks, factors, self.cfg.huber_delta)
+        return AssembledProblem(blocks, factors)
 
     # -- marginalization -----------------------------------------------------------
 

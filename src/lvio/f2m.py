@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .calibration import LidarImuExtrinsics
+from .calibration import LidarImuExtrinsics, compensate_lidar_pose
 from .geometry import (
     Pose,
     exp_map,
@@ -28,7 +28,6 @@ from .geometry import (
     quat_multiply,
     quat_to_matrix,
     skew,
-    so3_right_jacobian,
     so3_right_jacobian_inv,
 )
 
@@ -223,23 +222,16 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
                       want_jacobian: bool = False):
     """6-vector F2M pose residual (translation, Log rotation) and covariance.
 
-    The body pose is shifted to the LiDAR sampling instant by the
-    constant-motion model when velocity/angular_rate are given.
+    The body pose is shifted to the LiDAR sampling instant by
+    `calibration.compensate_lidar_pose` when velocity/angular_rate are given.
     """
     v = np.zeros(3) if velocity is None else np.asarray(velocity, float)
     w = np.zeros(3) if angular_rate is None else np.asarray(angular_rate, float)
-    delta = dt_br - dthat_br
-
-    R = body_pose.rotation_matrix()
-    phi = w * delta
-    E = quat_to_matrix(exp_map(phi))
-    Rhat = R @ E
-    phat = body_pose.t + v * delta
-    q_hat = quat_multiply(body_pose.q, exp_map(phi))
+    c = compensate_lidar_pose(body_pose, dt_br - dthat_br, v, w)
 
     Rm = meas.pose.rotation_matrix()
-    r_t = Rhat @ ext.p_br + phat - meas.pose.t
-    q_err = quat_multiply(q_hat, quat_multiply(ext.q_rb, quat_conjugate(meas.pose.q)))
+    r_t = c.RE @ ext.p_br + c.t - meas.pose.t
+    q_err = quat_multiply(c.q, quat_multiply(ext.q_rb, quat_conjugate(meas.pose.q)))
     r_q = log_map(q_err)
     r = np.concatenate([r_t, r_q])
     if not want_jacobian:
@@ -248,9 +240,8 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     kf = meas.keyframe_id
     Rrb = quat_to_matrix(ext.q_rb)
     Jr_inv = so3_right_jacobian_inv(r_q)
-    Jrphi = np.eye(3) if delta == 0.0 else so3_right_jacobian(phi)
     C = Rrb @ Rm.T
-    B = E @ C
+    B = c.E @ C
 
     J: dict = {}
     Jt = np.zeros((6, 3))
@@ -258,16 +249,16 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     J[("p", kf)] = Jt
 
     Jq = np.zeros((6, 3))
-    Jq[0:3] = -R @ skew(E @ ext.p_br)
+    Jq[0:3] = -c.R @ skew(c.E @ ext.p_br)
     Jq[3:6] = Jr_inv @ B.T
     J[("q", kf)] = Jq
 
     Jv = np.zeros((6, 3))
-    Jv[0:3] = np.eye(3) * delta
+    Jv[0:3] = np.eye(3) * c.delta
     J[("v", kf)] = Jv
 
     Jlp = np.zeros((6, 3))
-    Jlp[0:3] = Rhat
+    Jlp[0:3] = c.RE
     J[("lp", -1)] = Jlp
 
     Jlq = np.zeros((6, 3))
@@ -275,8 +266,8 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     J[("lq", -1)] = Jlq
 
     Jdt = np.zeros((6, 1))
-    Jdt[0:3, 0] = v - Rhat @ (skew(ext.p_br) @ (Jrphi @ w))
-    Jdt[3:6, 0] = Jr_inv @ (C.T @ (Jrphi @ w))
+    Jdt[0:3, 0] = v - c.RE @ (skew(ext.p_br) @ (c.Jr @ w))
+    Jdt[3:6, 0] = Jr_inv @ (C.T @ (c.Jr @ w))
     J[("ldt", -1)] = Jdt
     return r, meas.covariance, J
 

@@ -18,6 +18,12 @@ use id -1:
 The visual residual follows the unit-sphere reading of the bearing
 difference: both the predicted point and the observed normalized coordinate
 are renormalized to unit vectors before subtraction.
+
+Time-delay compensation is not written here: the camera residuals shift each
+observation with `calibration.compensate_feature`, and the LiDAR plane
+residual moves each keyframe pose to the LiDAR sampling instant with
+`calibration.compensate_lidar_pose`, the same function the F2M pose residual
+in `f2m` uses.
 """
 
 from __future__ import annotations
@@ -26,8 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CameraImuExtrinsics, LidarImuExtrinsics
-from .geometry import Pose, exp_map, quat_to_matrix, skew, so3_right_jacobian
+from .calibration import (
+    CameraImuExtrinsics,
+    LidarImuExtrinsics,
+    compensate_feature,
+    compensate_lidar_pose,
+)
+from .geometry import Pose, quat_to_matrix, skew
 
 # Parallax below this is treated as degenerate and the factor is skipped.
 THETA_MIN = 1e-3
@@ -55,7 +66,6 @@ class PlaneFitError(ValueError):
 class FeatureObservation:
     keyframe_id: int
     p_u: np.ndarray  # (x, y, 1) normalized camera coordinate
-    pixel_sigma: float = 1.0
     v_u: np.ndarray = field(default_factory=lambda: np.zeros(2))  # 1/s
 
     def __post_init__(self):
@@ -63,8 +73,6 @@ class FeatureObservation:
         self.v_u = np.asarray(self.v_u, dtype=float)
         if self.p_u.shape != (3,) or self.p_u[2] != 1.0:
             raise ValueError("p_u must be (x, y, 1)")
-        if self.pixel_sigma <= 0:
-            raise ValueError("pixel_sigma must be positive")
 
 
 @dataclass
@@ -97,7 +105,6 @@ class LandmarkTrack:
 class PlaneCluster:
     cluster_id: int
     points: list  # of (keyframe_id, p_r 3-vector in the LiDAR frame)
-    range_sigma: float = 0.02
 
     def __post_init__(self):
         if len(self.points) < 4:
@@ -142,18 +149,19 @@ def pose_only_depth(u_zeta, u_eta, pose_zeta: Pose, pose_eta: Pose,
     return float(np.linalg.norm(np.cross(u_eta, p_ez)) / theta), float(theta)
 
 
-def select_anchors(track: LandmarkTrack, camera_poses: dict,
-                   theta_min: float = THETA_MIN):
-    """(zeta, eta): zeta = first observation (or LiDAR-depth frame),
-    eta = the observing frame maximizing the parallax."""
-    obs = [o for o in track.observations if o.keyframe_id in camera_poses]
+def select_anchors(observations: list, camera_poses: dict, zeta: int | None):
+    """(zeta, eta) for a track's observations.
+
+    zeta is the given frame (the LiDAR-depth frame) or, when None, the first
+    observation in the window; eta is the observing frame maximizing the
+    parallax with zeta.
+    """
+    obs = [o for o in observations if o.keyframe_id in camera_poses]
     if len(obs) < 2:
         raise DegenerateParallaxError("fewer than 2 observations in window")
-    if track.lidar_depth is not None:
-        zeta = track.anchor_zeta  # depth-associated frame, set by the front end
-    else:
+    if zeta is None:
         zeta = obs[0].keyframe_id
-    uz = track.observation(zeta).p_u
+    uz = {o.keyframe_id: o.p_u for o in observations}[zeta]
     best, best_theta = None, -1.0
     for o in obs:
         if o.keyframe_id == zeta:
@@ -165,7 +173,7 @@ def select_anchors(track: LandmarkTrack, camera_poses: dict,
             continue
         if theta > best_theta:
             best, best_theta = o.keyframe_id, theta
-    if best is None or best_theta < theta_min:
+    if best is None or best_theta < THETA_MIN:
         raise DegenerateParallaxError("no anchor pair with usable parallax")
     return zeta, best
 
@@ -200,8 +208,8 @@ def _chain_cam_to_blocks(J, frame_id, d_t, d_f, d_u, Rb, ext, v_u):
 def _depth_partials(uz, ue, Rz, Re, tz, te):
     """Pose-only depth and its partials w.r.t. camera primitives.
 
-    Returns (d, theta, partials) with partials keyed 'tz','te','fz','fe'
-    (1x3) and 'uz','ue' (1x3)."""
+    Returns (d, partials, m) with partials keyed 'tz','te','fz','fe','uz',
+    'ue' (1x3 each) and m = Rz uz."""
     w = tz - te
     p_ez = Re.T @ w
     a = np.cross(ue, p_ez)
@@ -227,14 +235,14 @@ def _depth_partials(uz, ue, Rz, Re, tz, te):
         "uz": (rs @ Re.T) @ Rz,
         "ue": -ra @ skew(p_ez) - rt @ skew(s),
     }
-    aux = {"p_ez": p_ez, "m": m}
-    return d, nt, P, aux
+    return d, P, m
 
 
-def _bearing_partials(d, m, uj, Rj, tz, tj, d_is_state: bool):
-    """Partials of the 2-vector bearing residual w.r.t. camera primitives.
+def _bearing(d, m, uj, Rj, tz, tj):
+    """2-vector bearing residual in camera j of the landmark at depth d along
+    m = Rz uz from camera zeta.
 
-    Returns (r, scale dr/dd, partials dict, phat)."""
+    Returns (r, terms) where terms feed _bearing_partials."""
     mh = Rj.T @ m
     h = Rj.T @ (tz - tj)
     phat = d * mh + h
@@ -244,27 +252,58 @@ def _bearing_partials(d, m, uj, Rj, tz, tj, d_is_state: bool):
     f = phat / npn
     nuj = np.linalg.norm(uj)
     uhat = uj / nuj
-    r = _B @ (f - uhat)
+    return _B @ (f - uhat), (d, mh, h, f, npn, uhat, nuj, Rj)
 
+
+def _bearing_partials(terms, Rz, uz):
+    """Partials of the bearing residual w.r.t. camera primitives.
+
+    Returns (dr/dd, partials keyed 'tz','tj','fz','fj','uz','uj')."""
+    d, mh, h, f, npn, uhat, nuj, Rj = terms
     G = _B @ (np.eye(3) - np.outer(f, f)) / npn
-    dr_dd = G @ mh
-    P = {
+    dr_dm = d * (G @ Rj.T)
+    return G @ mh, {
         "tz": G @ Rj.T,
         "tj": -G @ Rj.T,
         "fj": d * (G @ skew(mh)) + G @ skew(h),
-        "fz": d * (G @ Rj.T),  # to be composed with dm/dfz by caller
+        "fz": dr_dm @ (-Rz @ skew(uz)),
+        "uz": dr_dm @ Rz,
         "uj": -_B @ (np.eye(3) - np.outer(uhat, uhat)) / nuj,
     }
-    return r, dr_dd, G, P
 
 
 def _compensated_obs(track, frame_id, dt_bc, dthat):
     o = track.observation(frame_id)
     shift = dt_bc.get(frame_id, 0.0) - dthat.get(frame_id, 0.0)
-    u = o.p_u.copy()
-    u[0] -= o.v_u[0] * shift
-    u[1] -= o.v_u[1] * shift
-    return u, o.v_u
+    return compensate_feature(o.p_u, o.v_u, shift), o.v_u
+
+
+def _camera_setup(track, observer, body_poses, ext, dt_bc, dthat):
+    """The part both camera residuals share: the compensated observation and
+    camera frame of zeta, eta and the observer j, and the pose-only depth.
+
+    Returns (cams, d, depth partials, m) with cams = [(frame_id, u, v_u, Rb,
+    Rc, tc)] for zeta, eta and j, in that order."""
+    z, e, j = track.anchor_zeta, track.anchor_eta, observer
+    if j == z:
+        raise ValueError("observer must differ from anchor zeta")
+    dt_bc = dt_bc or {}
+    dthat = dthat or {}
+    cams = []
+    for k in (z, e, j):
+        u, v_u = _compensated_obs(track, k, dt_bc, dthat)
+        cams.append((k, u, v_u, *_cam_frame(body_poses[k], ext)))
+    (_, uz, _, _, Rz, tz), (_, ue, _, _, Re, te) = cams[:2]
+    d, DP, m = _depth_partials(uz, ue, Rz, Re, tz, te)
+    return cams, d, DP, m
+
+
+def _chain_roles(cams, ext, role_partials):
+    """Jacobian blocks from the (d_t, d_f, d_u) partials of zeta, eta and j."""
+    J: dict = {}
+    for (k, _, v_u, Rb, _, _), (d_t, d_f, d_u) in zip(cams, role_partials):
+        _chain_cam_to_blocks(J, k, d_t, d_f, d_u, Rb, ext, v_u)
+    return J
 
 
 def visual_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
@@ -275,43 +314,22 @@ def visual_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
 
     Returns (residual 2-vector, 2x2 covariance[, jacobian blocks]).
     """
-    dt_bc = dt_bc or {}
-    dthat = dthat or {}
-    z, e, j = track.anchor_zeta, track.anchor_eta, observer
-    if j == z:
-        raise ValueError("observer must differ from anchor zeta")
-
-    uz, vz = _compensated_obs(track, z, dt_bc, dthat)
-    ue, ve = _compensated_obs(track, e, dt_bc, dthat)
-    uj, vj = _compensated_obs(track, j, dt_bc, dthat)
-
-    Rbz, Rz, tz = _cam_frame(body_poses[z], ext)
-    Rbe, Re, te = _cam_frame(body_poses[e], ext)
-    Rbj, Rj, tj = _cam_frame(body_poses[j], ext)
-
-    d, _, DP, aux = _depth_partials(uz, ue, Rz, Re, tz, te)
-    r, dr_dd, G, BP = _bearing_partials(d, aux["m"], uj, Rj, tz, tj, True)
+    cams, d, DP, m = _camera_setup(track, observer, body_poses, ext, dt_bc, dthat)
+    (_, uz, _, _, Rz, tz), _, (_, uj, _, _, Rj, tj) = cams
+    r, terms = _bearing(d, m, uj, Rj, tz, tj)
     cov = np.eye(2) * sigma_u**2
     if not want_jacobian:
         return r, cov
 
+    dr_dd, BP = _bearing_partials(terms, Rz, uz)
     dr_dd = dr_dd[:, None]  # (2,1)
-    # per-role partials w.r.t. camera primitives (2x3 each)
-    t_z = dr_dd @ DP["tz"] + BP["tz"]
-    t_e = dr_dd @ DP["te"]
-    t_j = BP["tj"]
-    f_z = dr_dd @ DP["fz"] + BP["fz"] @ (-Rz @ skew(uz))
-    f_e = dr_dd @ DP["fe"]
-    f_j = BP["fj"]
-    u_z = dr_dd @ DP["uz"] + BP["fz"] @ Rz
-    u_e = dr_dd @ DP["ue"]
-    u_j = BP["uj"]
-
-    J: dict = {}
-    _chain_cam_to_blocks(J, z, t_z, f_z, u_z, Rbz, ext, vz)
-    _chain_cam_to_blocks(J, e, t_e, f_e, u_e, Rbe, ext, ve)
-    _chain_cam_to_blocks(J, j, t_j, f_j, u_j, Rbj, ext, vj)
-    return r, cov, J
+    # per-role (translation, rotation, observation) partials, 2x3 each
+    return r, cov, _chain_roles(cams, ext, [
+        (dr_dd @ DP["tz"] + BP["tz"], dr_dd @ DP["fz"] + BP["fz"],
+         dr_dd @ DP["uz"] + BP["uz"]),
+        (dr_dd @ DP["te"], dr_dd @ DP["fe"], dr_dd @ DP["ue"]),
+        (BP["tj"], BP["fj"], BP["uj"]),
+    ])
 
 
 def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
@@ -323,27 +341,16 @@ def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, body_poses: dic
     (d_pose - d_meas) / sigma_d."""
     if track.lidar_depth is None:
         raise ValueError("track has no LiDAR depth")
-    dt_bc = dt_bc or {}
-    dthat = dthat or {}
     d_meas, sigma_d = track.lidar_depth
-    z, e, j = track.anchor_zeta, track.anchor_eta, observer
-    if j == z:
-        raise ValueError("observer must differ from anchor zeta")
-
-    uz, vz = _compensated_obs(track, z, dt_bc, dthat)
-    ue, ve = _compensated_obs(track, e, dt_bc, dthat)
-    uj, vj = _compensated_obs(track, j, dt_bc, dthat)
-
-    Rbz, Rz, tz = _cam_frame(body_poses[z], ext)
-    Rbe, Re, te = _cam_frame(body_poses[e], ext)
-    Rbj, Rj, tj = _cam_frame(body_poses[j], ext)
-
-    d_pose, _, DP, aux = _depth_partials(uz, ue, Rz, Re, tz, te)
-    rb, _, G, BP = _bearing_partials(d_meas, aux["m"], uj, Rj, tz, tj, False)
+    cams, d_pose, DP, m = _camera_setup(track, observer, body_poses, ext, dt_bc, dthat)
+    (_, uz, _, _, Rz, tz), _, (_, uj, _, _, Rj, tj) = cams
+    rb, terms = _bearing(d_meas, m, uj, Rj, tz, tj)
     r = np.array([rb[0], rb[1], (d_pose - d_meas) / sigma_d])
     cov = np.diag([sigma_u**2, sigma_u**2, 1.0])
     if not want_jacobian:
         return r, cov
+
+    _, BP = _bearing_partials(terms, Rz, uz)
 
     def stack(bearing, depth_row):
         out = np.zeros((3, bearing.shape[1]))
@@ -351,22 +358,15 @@ def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, body_poses: dic
         out[2] = depth_row / sigma_d
         return out
 
-    zeros13 = np.zeros((1, 3))
-    t_z = stack(BP["tz"], DP["tz"][0])
-    t_e = stack(np.zeros((2, 3)), DP["te"][0])
-    t_j = stack(BP["tj"], np.zeros(3))
-    f_z = stack(BP["fz"] @ (-Rz @ skew(uz)), DP["fz"][0])
-    f_e = stack(np.zeros((2, 3)), DP["fe"][0])
-    f_j = stack(BP["fj"], np.zeros(3))
-    u_z = stack(BP["fz"] @ Rz, DP["uz"][0])
-    u_e = stack(np.zeros((2, 3)), DP["ue"][0])
-    u_j = stack(BP["uj"], np.zeros(3))
-
-    J: dict = {}
-    _chain_cam_to_blocks(J, z, t_z, f_z, u_z, Rbz, ext, vz)
-    _chain_cam_to_blocks(J, e, t_e, f_e, u_e, Rbe, ext, ve)
-    _chain_cam_to_blocks(J, j, t_j, f_j, u_j, Rbj, ext, vj)
-    return r, cov, J
+    no_bearing = np.zeros((2, 3))  # the bearing at d_meas does not involve eta
+    return r, cov, _chain_roles(cams, ext, [
+        (stack(BP["tz"], DP["tz"][0]), stack(BP["fz"], DP["fz"][0]),
+         stack(BP["uz"], DP["uz"][0])),
+        (stack(no_bearing, DP["te"][0]), stack(no_bearing, DP["fe"][0]),
+         stack(no_bearing, DP["ue"][0])),
+        (stack(BP["tj"], np.zeros(3)), stack(BP["fj"], np.zeros(3)),
+         stack(BP["uj"], np.zeros(3))),
+    ])
 
 
 def fit_plane(points: np.ndarray) -> PlaneModel:
@@ -401,22 +401,14 @@ class LidarFrameContext:
     dthat_br: float = 0.0  # delay the frame was preprocessed with
 
 
-def _compensated_lidar_pose(ctx: LidarFrameContext, dt_br: float):
-    delta = dt_br - ctx.dthat_br
-    R = ctx.pose.rotation_matrix()
-    phi = ctx.angular_rate * delta
-    E = quat_to_matrix(exp_map(phi))
-    return R, E, ctx.pose.t + ctx.velocity * delta, phi, delta
-
-
 def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
                       dt_br: float, cache: dict | None = None):
     """World-frame projection of a cluster, grouped per keyframe.
 
     Returns (groups, world, Rrb) where groups maps keyframe ->
-    (ctx, R, E, RE, pb, phi, delta, Jr, pts_r (n,3), y (n,3), world (n,3)).
-    `cache` memoizes per-keyframe pose quantities across clusters evaluated
-    at the same window state."""
+    (ctx, comp, pts_r (n,3), y (n,3), world (n,3)) and comp is the
+    keyframe's CompensatedLidarPose. `cache` memoizes Rrb and comp across
+    clusters evaluated at the same window state."""
     if cache is not None and "Rrb" in cache:
         Rrb = cache["Rrb"]
     else:
@@ -432,17 +424,16 @@ def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
         ctx = frames[kf]
         ck = ("lpose", kf)
         if cache is not None and ck in cache:
-            R, E, RE, pb, phi, delta, Jr = cache[ck]
+            comp = cache[ck]
         else:
-            R, E, pb, phi, delta = _compensated_lidar_pose(ctx, dt_br)
-            RE = R @ E
-            Jr = so3_right_jacobian(phi)
+            comp = compensate_lidar_pose(ctx.pose, dt_br - ctx.dthat_br,
+                                         ctx.velocity, ctx.angular_rate)
             if cache is not None:
-                cache[ck] = (R, E, RE, pb, phi, delta, Jr)
+                cache[ck] = comp
         pts_r = np.asarray(plist)
         y = pts_r @ Rrb.T + ext.p_br
-        pw = y @ RE.T + pb
-        groups[kf] = (ctx, R, E, RE, pb, phi, delta, Jr, pts_r, y, pw)
+        pw = y @ comp.RE.T + comp.t
+        groups[kf] = (ctx, comp, pts_r, y, pw)
         world.append(pw)
     return groups, np.vstack(world), Rrb
 
@@ -455,6 +446,10 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     frames: keyframe_id -> LidarFrameContext. The plane is re-fit from the
     currently projected world points unless an explicit plane is given;
     jacobians treat the plane as fixed at the linearization point.
+
+    The variance adapts to the data: its std is max(PLANE_COV_FLOOR, sample
+    std of the per-keyframe mean-square point-to-plane distances), scaled
+    by 1/N for N points.
 
     Returns (residual (1,), covariance (1,1)[, jacobian blocks]).
     """
@@ -480,38 +475,21 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     Jlp = np.zeros((1, 3))
     Jlq = np.zeros((1, 3))
     Jldt = 0.0
-    for kf, (ctx, R, E, RE, pb, phi, delta, Jr, pts_r, y, pw) in groups.items():
+    for kf, (ctx, c, pts_r, y, pw) in groups.items():
         eps = eps_by_kf[kf]
         wsum = 2.0 * float(np.sum(eps)) / N  # scalar weight on linear terms
         s_y = (2.0 / N) * (eps @ y)  # eps-weighted sums for skew terms
         s_r = (2.0 / N) * (eps @ pts_r)
-        nR = n @ R
-        nRE = n @ RE
+        nR = n @ c.R
+        nRE = n @ c.RE
         J[("p", kf)] = (wsum * n)[None, :]
-        J[("q", kf)] = (-(nR @ skew(E @ s_y)))[None, :]
-        J[("v", kf)] = (wsum * delta * n)[None, :]
+        J[("q", kf)] = (-(nR @ skew(c.E @ s_y)))[None, :]
+        J[("v", kf)] = (wsum * c.delta * n)[None, :]
         Jldt += wsum * (n @ ctx.velocity) \
-            - nRE @ (skew(s_y) @ (Jr @ ctx.angular_rate))
+            - nRE @ (skew(s_y) @ (c.Jr @ ctx.angular_rate))
         Jlp += (wsum * nRE)[None, :]
         Jlq += (-(nRE @ (Rrb @ skew(s_r))))[None, :]
     J[("lp", -1)] = Jlp
     J[("lq", -1)] = Jlq
     J[("ldt", -1)] = np.array([[Jldt]])
     return r, cov, J
-
-
-def adaptive_plane_covariance(cluster: PlaneCluster, frames: dict,
-                              ext: LidarImuExtrinsics, dt_br: float = 0.0,
-                              plane: PlaneModel | None = None) -> float:
-    """Variance for the plane-thickness residual.
-
-    Std of the residual = max(floor, sample std of the per-keyframe
-    mean-square point-to-plane distances); the variance is scaled by 1/N.
-    """
-    groups, world, _ = _cluster_by_frame(cluster, frames, ext, dt_br)
-    if plane is None:
-        plane = fit_plane(world)
-    ms = np.array([float(np.mean(plane.distance(g[-1]) ** 2))
-                   for g in groups.values()])
-    sigma = max(PLANE_COV_FLOOR, float(np.std(ms)))
-    return sigma**2 / len(cluster.points)

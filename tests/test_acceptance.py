@@ -16,6 +16,7 @@ from lvio.calibration import (
     CameraImuExtrinsics,
     LidarImuExtrinsics,
     TimeDelayConfig,
+    compensate_lidar_pose,
     pixel_angle_deg,
     time_delay_residual,
 )
@@ -103,7 +104,7 @@ def _visual_case(rng, with_depth):
         cam = pa.camera_pose_from_state(body, ext)
         x = cam.rotation_matrix().T @ (X - cam.t)
         observations.append(pa.FeatureObservation(
-            k, np.array([x[0] / x[2], x[1] / x[2], 1.0]), 1.0,
+            k, np.array([x[0] / x[2], x[1] / x[2], 1.0]),
             rng.normal(size=2) * 0.3))
     depth = None
     if with_depth:
@@ -184,8 +185,10 @@ def _lidar_jacobian_errors(rng, n_points):
         Rrb = ext.pose().rotation_matrix()
         world = []
         for kf, p_r in cluster.points:
-            Rm, E, pb, _, _ = pa._compensated_lidar_pose(frames[kf], dt_br)
-            world.append(Rm @ (E @ (Rrb @ p_r + ext.p_br)) + pb)
+            ctx = frames[kf]
+            c = compensate_lidar_pose(ctx.pose, dt_br - ctx.dthat_br, ctx.velocity,
+                                      ctx.angular_rate)
+            world.append(c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t)
         plane_lin = pa.fit_plane(np.asarray(world))
 
         for k in frames:

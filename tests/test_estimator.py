@@ -344,7 +344,7 @@ def test_track_in_three_frames_gives_two_visual_factors():
         x = cam.inverse().transform(X)
         p_u = np.array([x[0] / x[2], x[1] / x[2], 1.0])
         est._observations.setdefault(77, []).append(
-            (kf, pa.FeatureObservation(kf, p_u, 1.0, np.zeros(2))))
+            (kf, pa.FeatureObservation(kf, p_u, np.zeros(2))))
     problem = est.build_problem()
     assert problem.stats.get("visual", 0) == 2
     # attach a depth to the first observation: factors become depth-typed
@@ -371,7 +371,7 @@ def test_vio_mode_stores_no_lidar_depth():
         x = cam.inverse().transform(X)
         est._observations[77].append(
             (kf, pa.FeatureObservation(kf, np.array([x[0] / x[2], x[1] / x[2], 1.0]),
-                                       1.0, np.zeros(2))))
+                                       np.zeros(2))))
     assert est._depths == {}
     stats = est.build_problem().stats
     assert "depth" not in stats

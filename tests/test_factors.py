@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
+from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics, compensate_lidar_pose
 from lvio.factors import (
     CheiralityError,
     DegenerateParallaxError,
@@ -10,7 +10,7 @@ from lvio.factors import (
     LidarFrameContext,
     PlaneCluster,
     PlaneFitError,
-    adaptive_plane_covariance,
+    PlaneModel,
     camera_pose_from_state,
     fit_plane,
     lidar_depth_pa_residual,
@@ -27,8 +27,8 @@ IDENT_EXT = CameraImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 IDENT_LEXT = LidarImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 
 
-def obs(kf, x, y, v=(0.0, 0.0), sigma=1.0):
-    return FeatureObservation(kf, np.array([x, y, 1.0]), sigma, np.array(v))
+def obs(kf, x, y, v=(0.0, 0.0)):
+    return FeatureObservation(kf, np.array([x, y, 1.0]), np.array(v))
 
 
 # ---------------------------------------------------------------- camera pose
@@ -116,7 +116,7 @@ def test_pose_only_depth_matches_triangulation(rng):
 def test_select_anchors_two_observations():
     track = LandmarkTrack(0, [obs(0, 0.0, 0.0), obs(1, -0.2, 0.0)], 0, 1)
     poses = {0: Pose.identity(), 1: Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))}
-    z, e = select_anchors(track, poses)
+    z, e = select_anchors(track.observations, poses, None)
     assert (z, e) == (0, 1)
 
 
@@ -129,7 +129,7 @@ def test_select_anchors_max_parallax():
         x = pose.rotation_matrix().T @ (X - pose.t)
         observations.append(obs(k, x[0] / x[2], x[1] / x[2]))
     track = LandmarkTrack(0, observations, 0, 1)
-    z, e = select_anchors(track, poses)
+    z, e = select_anchors(track.observations, poses, None)
     assert z == 0 and e == 3
 
 
@@ -139,7 +139,7 @@ def test_select_anchors_prefers_depth_frame():
         lidar_depth=(5.0, 0.05),
     )
     poses = {k: Pose(np.array([0.5 * k, 0, 0]), np.array([1.0, 0, 0, 0])) for k in (1, 2, 3)}
-    z, _ = select_anchors(track, poses)
+    z, _ = select_anchors(track.observations, poses, track.anchor_zeta)
     assert z == 2
 
 
@@ -358,7 +358,6 @@ def test_lidar_pa_zero_for_coplanar(rng):
 def test_lidar_pa_alternating_points():
     frames = {0: LidarFrameContext(Pose.identity(), np.zeros(3), np.zeros(3)),
               1: LidarFrameContext(Pose.identity(), np.zeros(3), np.zeros(3))}
-    from lvio.factors import PlaneModel
     pts = [(0, np.array([0.0, 0, 0.1])), (0, np.array([1.0, 0, -0.1])),
            (1, np.array([0.0, 1, 0.1])), (1, np.array([1.0, 1, -0.1]))]
     cluster = PlaneCluster(0, pts)
@@ -379,11 +378,50 @@ def test_lidar_pa_global_rigid_invariance(rng):
     np.testing.assert_allclose(r0, r1, atol=1e-10)
 
 
+def test_lidar_residuals_share_one_compensated_pose(rng):
+    """The plane residual and the F2M pose residual both place a keyframe at
+    the pose compensate_lidar_pose gives it."""
+    from lvio.f2m import F2mPoseMeasurement, f2m_pose_residual
+
+    for _ in range(10):
+        ext_pose = rand_pose(rng, 0.2)
+        ext = LidarImuExtrinsics(ext_pose.t, ext_pose.q)
+        dthat_br = rng.normal() * 0.002
+        dt_br = dthat_br + 0.01 + abs(rng.normal()) * 0.004
+        frames = {k: LidarFrameContext(rand_pose(rng, 2.0), rng.normal(size=3),
+                                       rng.normal(size=3) * 0.5, dthat_br)
+                  for k in range(2)}
+        lidar_poses = {}
+        for k, ctx in frames.items():
+            c = compensate_lidar_pose(ctx.pose, dt_br - ctx.dthat_br, ctx.velocity,
+                                      ctx.angular_rate)
+            assert np.linalg.norm(c.t - ctx.pose.t) > 1e-4
+            lidar_poses[k] = Pose(c.t, c.q).compose(ext.pose())
+            meas = F2mPoseMeasurement(k, lidar_poses[k], np.eye(6))
+            r, _ = f2m_pose_residual(ctx.pose, ext, meas, ctx.velocity,
+                                     ctx.angular_rate, dt_br, ctx.dthat_br)
+            np.testing.assert_allclose(r, 0.0, atol=1e-12)
+
+        world = rng.normal(size=(8, 3)) * 3.0
+        kfs = [0] * 4 + [1] * 4
+        cluster = PlaneCluster(0, [(k, lidar_poses[k].inverse().transform(x))
+                                   for k, x in zip(kfs, world)])
+        # against a fixed plane the residual is the mean squared point-to-plane
+        # distance of the projected points; over random planes that pins down
+        # where the points land
+        for _ in range(5):
+            n = rng.normal(size=3)
+            plane = PlaneModel(n / np.linalg.norm(n), rng.normal())
+            r, _ = lidar_pa_residual(cluster, frames, ext, dt_br, plane=plane)
+            np.testing.assert_allclose(r[0], np.mean(plane.distance(world) ** 2),
+                                       rtol=1e-9)
+
+
 def test_adaptive_covariance_monotone(rng):
     base = None
     for noise in (0.005, 0.02):
         cluster, frames = make_cluster_frames(rng, noise=noise)
-        var = adaptive_plane_covariance(cluster, frames, IDENT_LEXT)
+        var = lidar_pa_residual(cluster, frames, IDENT_LEXT)[1][0, 0]
         if base is None:
             base = var
         else:
@@ -392,7 +430,7 @@ def test_adaptive_covariance_monotone(rng):
 
 def test_adaptive_covariance_floor(rng):
     cluster, frames = make_cluster_frames(rng, noise=0.0)
-    var = adaptive_plane_covariance(cluster, frames, IDENT_LEXT)
+    var = lidar_pa_residual(cluster, frames, IDENT_LEXT)[1][0, 0]
     from lvio.factors import PLANE_COV_FLOOR
     np.testing.assert_allclose(var, PLANE_COV_FLOOR**2 / len(cluster.points))
 
@@ -412,13 +450,13 @@ def test_lidar_pa_jacobians_match_fd(rng):
         r, cov, J = lidar_pa_residual(cluster, frames, ext, dt_br, want_jacobian=True)
 
         # plane fixed at linearization: tolerance 1e-4; full re-fit FD: 1e-2
-        import lvio.factors as F
         world = []
         Rrb = ext.pose().rotation_matrix()
         for kf, p_r in cluster.points:
             ctx = frames[kf]
-            Rm, E, pb, _, _ = F._compensated_lidar_pose(ctx, dt_br)
-            world.append(Rm @ (E @ (Rrb @ p_r + ext.p_br)) + pb)
+            c = compensate_lidar_pose(ctx.pose, dt_br - ctx.dthat_br, ctx.velocity,
+                                      ctx.angular_rate)
+            world.append(c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t)
         plane_lin = _fit(np.asarray(world))
 
         for k in frames:

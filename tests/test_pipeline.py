@@ -5,7 +5,7 @@ import pytest
 
 from lvio import io
 from lvio.cli import main, run_estimator
-from lvio.estimator import EstimatorConfig
+from lvio.estimator import Estimator, EstimatorConfig
 from lvio.evaluate import ate_rmse
 from lvio.f2m import export_ply
 from lvio.geometry import Pose
@@ -51,6 +51,25 @@ def test_zero_noise_residuals_vanish_at_estimate(zero_noise_dir):
     for factor in problem.factors:
         r, _ = factor.evaluate(est.window)
         assert np.max(np.abs(r)) < 1e-6, factor.kind
+
+
+def test_frame_cutoff_ignores_lidar_delay_estimate(zero_noise_dir, monkeypatch):
+    """Frames are cut where process_frame's IMU slice ends, at the delay the
+    frames were preprocessed with, not at the current LiDAR delay estimate."""
+    def config():
+        return EstimatorConfig(window_size=3, max_tracks=5, max_iterations=2)
+
+    n_frames = len(run_estimator(zero_noise_dir, mode="vio", config=config()).trajectory())
+    process_frame = Estimator.process_frame
+
+    def drifting(self, bundle):
+        out = process_frame(self, bundle)
+        self.window.lid_ext.dt_br += 0.5  # the estimate wanders upward
+        return out
+
+    monkeypatch.setattr(Estimator, "process_frame", drifting)
+    est = run_estimator(zero_noise_dir, mode="vio", config=config())
+    assert len(est.trajectory()) == n_frames
 
 
 @pytest.mark.parametrize("mode,tol", [
