@@ -4,8 +4,11 @@ Timestamp conventions (IMU clock t_b is the reference):
     t_b = t_c + dt_bc   (camera)
     t_b = t_r + dt_br   (LiDAR)
 
-dt_bc is modeled as a random-walk process and carried per keyframe;
-dt_br is a random constant shared by the whole window.
+dt_bc is modeled as a random-walk process (driving noise SIGMA_T_BC) and
+carried per keyframe; dt_br is a random constant shared by the whole window.
+Frames are preprocessed with one LiDAR delay, dthat_br, fixed when the
+window is made; both compensations below act on the difference between an
+estimated delay and that value.
 
 The two time-delay compensations live here and nowhere else:
 `compensate_feature` shifts a feature observation (used by the visual and
@@ -23,6 +26,7 @@ import numpy as np
 
 from .geometry import (
     Pose,
+    euler_zyx,
     exp_map,
     quat_conjugate,
     quat_multiply,
@@ -31,6 +35,9 @@ from .geometry import (
     quat_to_matrix,
     so3_right_jacobian,
 )
+
+# Driving noise of the camera-delay random walk, s/sqrt(s).
+SIGMA_T_BC = 1.0e-4
 
 
 @dataclass
@@ -60,16 +67,6 @@ class LidarImuExtrinsics:
         return Pose(self.p_br, self.q_rb)
 
 
-@dataclass
-class TimeDelayConfig:
-    sigma_t_bc: float = 1.0e-4  # random-walk driving noise, s/sqrt(s)
-    initial_dt_bc: float = 0.0
-
-    def __post_init__(self):
-        if self.sigma_t_bc <= 0:
-            raise ValueError("time-delay random-walk sigma must be positive")
-
-
 def compensate_feature(p_u: np.ndarray, v_u: np.ndarray, delta_t: float) -> np.ndarray:
     """Shift a normalized-camera observation by the constant-velocity model.
 
@@ -83,12 +80,11 @@ def compensate_feature(p_u: np.ndarray, v_u: np.ndarray, delta_t: float) -> np.n
     return out
 
 
-def time_delay_residual(dt_bc_prev: float, dt_bc_cur: float, interval: float,
-                        cfg: TimeDelayConfig):
+def time_delay_residual(dt_bc_prev: float, dt_bc_cur: float, interval: float):
     """Random-walk residual and variance for consecutive camera delays."""
     if interval <= 0:
         raise ValueError("keyframe interval must be positive")
-    return dt_bc_cur - dt_bc_prev, cfg.sigma_t_bc**2 * interval
+    return dt_bc_cur - dt_bc_prev, SIGMA_T_BC**2 * interval
 
 
 @dataclass
@@ -136,11 +132,7 @@ def pixel_angle_deg(pixel_size: float, focal_length: float) -> float:
 
 
 def _euler_zyx_deg(q: np.ndarray) -> np.ndarray:
-    R = quat_to_matrix(q)
-    pitch = math.asin(np.clip(-R[2, 0], -1.0, 1.0))
-    roll = math.atan2(R[2, 1], R[2, 2])
-    yaw = math.atan2(R[1, 0], R[0, 0])
-    return np.degrees([roll, pitch, yaw])
+    return np.degrees(euler_zyx(quat_to_matrix(q)))
 
 
 def calibration_report(cam: CameraImuExtrinsics, lid: LidarImuExtrinsics,

@@ -11,13 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, io
-from .calibration import (
-    CameraImuExtrinsics,
-    LidarImuExtrinsics,
-    TimeDelayConfig,
-    calibration_report,
-)
-from .estimator import MODES, Estimator, EstimatorConfig, FrameBundle, marginal_covariance
+from .calibration import CameraImuExtrinsics, LidarImuExtrinsics, calibration_report
+from .estimator import MODES, Estimator, EstimatorConfig, FrameBundle, covariance_blocks
 from .f2m import GlobalPlaneMap, estimate_f2m_pose, export_ply
 from .geometry import Pose, exp_map, quat_multiply, quat_normalize
 from .imu import ImuNoiseConfig
@@ -78,7 +73,6 @@ def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | No
             imu_noise=ImuNoiseConfig(
                 gyro_noise=float(sensor.get("gyro_noise", 1e-4)),
                 accel_noise=float(sensor.get("accel_noise", 1e-3))),
-            time_delay=TimeDelayConfig(initial_dt_bc=float(sensor.get("dt_bc", 0.0))),
             f2m_sigma_pt=max(float(sensor.get("range_sigma", 0.02)), 0.005),
         )
     else:
@@ -100,15 +94,13 @@ def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | No
         raise ValueError("no frames in data directory")
     est = Estimator(cam_ext, lid_ext, config)
     est.set_imu(imu)
-    est.initialize(bundles[0], p, q, v, bg, ba,
-                   dt_bc=config.time_delay.initial_dt_bc)
-    # frames are preprocessed with the LiDAR delay fixed at initialization:
+    est.initialize(bundles[0], p, q, v, bg, ba, dt_bc=float(sensor.get("dt_bc", 0.0)))
+    # frames are preprocessed with the window's fixed LiDAR delay:
     # process_frame integrates the IMU up to stamp + dthat_br, whatever the
     # current delay estimate
-    dthat_br = est.window.keyframes[est.window.ordered_ids()[-1]].dthat_br
     t_max = imu[-1].timestamp
     for bundle in bundles[1:]:
-        if bundle.stamp + dthat_br > t_max:
+        if bundle.stamp + est.window.dthat_br > t_max:
             break
         est.process_frame(bundle)
     return est
@@ -135,16 +127,16 @@ def cmd_run(args):
     if args.calib_report:
         ids = est.window.ordered_ids()
         dt_bc = est.window.keyframes[ids[-1]].dt_bc
+        labels = {("lq", -1): "lidar_rot_deg", ("dt", ids[-1]): "cam_delay_ms",
+                  ("ldt", -1): "lidar_delay_ms"}
         stds = {}
         try:
             problem = est.build_problem()
-            for label, key in (("lidar_rot_deg", ("lq", -1)),
-                               ("cam_delay_ms", ("dt", ids[-1])),
-                               ("lidar_delay_ms", ("ldt", -1))):
-                if key in problem.index:
-                    cov = marginal_covariance(problem, est.window, [key])
-                    s = math.sqrt(max(np.trace(cov), 0.0))
-                    stds[label] = math.degrees(s) if "deg" in label else s * 1e3
+            H, _, _ = problem.linearize(est.window)
+            for key, cov in covariance_blocks(H, problem.index, labels).items():
+                s = math.sqrt(max(np.trace(cov), 0.0))
+                label = labels[key]
+                stds[label] = math.degrees(s) if "deg" in label else s * 1e3
         except Exception:
             pass
         with open(args.calib_report, "w") as f:

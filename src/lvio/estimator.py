@@ -14,6 +14,14 @@ oldest keyframe is folded into the prior by a Schur complement; the F2M
 factor on that keyframe is removed beforehand (it carries absolute map
 information whose marginalization would make the estimator inconsistent)
 unless the "marg_f2m" ablation keeps it.
+
+Each Factor wraps one pure residual function and whitens its output with
+noise the factor holds itself: the pixel sigma for the camera factors, a
+Cholesky factor of the preintegration or F2M covariance built once, and
+the variance that the LiDAR plane and time-delay residuals return. The
+residual functions get the window's single LiDAR preprocessing delay,
+`WindowState.dthat_br`, as a scalar. Covariances of the solution are read
+from an information matrix by `covariance_blocks`.
 """
 
 from __future__ import annotations
@@ -26,12 +34,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import factors as pa
-from .calibration import (
-    CameraImuExtrinsics,
-    LidarImuExtrinsics,
-    TimeDelayConfig,
-    time_delay_residual,
-)
+from .calibration import CameraImuExtrinsics, LidarImuExtrinsics, time_delay_residual
 from .f2m import (
     F2mConvergenceError,
     F2mObservabilityError,
@@ -47,7 +50,6 @@ from .imu import (
     PreintegratedImu,
     integrate,
     mechanize,
-    preintegration_jacobians,
     preintegration_residual,
     slice_samples,
 )
@@ -93,7 +95,6 @@ class KeyframeState:
     bg: np.ndarray = field(default_factory=lambda: np.zeros(3))
     ba: np.ndarray = field(default_factory=lambda: np.zeros(3))
     dt_bc: float = 0.0
-    dthat_br: float = 0.0  # LiDAR delay the frame was preprocessed with
     angular_rate: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
@@ -122,13 +123,17 @@ class PriorInfo:
 
 
 class WindowState:
-    """Keyframe states plus the window-global calibration states."""
+    """Keyframe states plus the window-global calibration states.
+
+    dthat_br is the LiDAR delay every frame is preprocessed with: the
+    estimate of dt_br when the window is made, fixed from then on."""
 
     def __init__(self, cam_ext: CameraImuExtrinsics, lid_ext: LidarImuExtrinsics,
                  window_size: int = 10):
         self.keyframes: dict[int, KeyframeState] = {}
         self.cam_ext = cam_ext
         self.lid_ext = lid_ext
+        self.dthat_br = lid_ext.dt_br
         self.window_size = window_size
         self.prior: PriorInfo | None = None
 
@@ -222,13 +227,11 @@ class ImuFactor(Factor):
         return out
 
     def evaluate(self, window, want_jacobian=False, cache=None):
-        si = window.keyframes[self.ki]
-        sj = window.keyframes[self.kj]
-        r, _ = preintegration_residual(si, sj, self.pre)
+        r, Jn = preintegration_residual(window.keyframes[self.ki], window.keyframes[self.kj],
+                                        self.pre, want_jacobian)
         rw = solve_triangular(self._L, r, lower=True)
         if not want_jacobian:
             return rw, None
-        Jn = preintegration_jacobians(si, sj, self.pre)
         J = {}
         for suffix, k in (("i", self.ki), ("j", self.kj)):
             for name in ("p", "q", "v", "bg", "ba"):
@@ -239,10 +242,9 @@ class ImuFactor(Factor):
 class TimeDelayFactor(Factor):
     kind = "timedelay"
 
-    def __init__(self, ki: int, kj: int, interval: float, cfg: TimeDelayConfig):
+    def __init__(self, ki: int, kj: int, interval: float):
         self.ki, self.kj = ki, kj
         self.interval = interval
-        self.cfg = cfg
 
     def keys(self):
         return [("dt", self.ki), ("dt", self.kj)]
@@ -250,7 +252,7 @@ class TimeDelayFactor(Factor):
     def evaluate(self, window, want_jacobian=False, cache=None):
         r, var = time_delay_residual(window.keyframes[self.ki].dt_bc,
                                      window.keyframes[self.kj].dt_bc,
-                                     self.interval, self.cfg)
+                                     self.interval)
         s = 1.0 / np.sqrt(var)
         rw = np.array([r * s])
         if not want_jacobian:
@@ -274,34 +276,34 @@ class _CameraFactor(Factor):
     def _dicts(self, window, cache=None):
         poses = {k: _kf_pose(window, k, cache) for k in self._frames}
         dt_bc = {k: window.keyframes[k].dt_bc for k in self._frames}
-        dthat = {k: window.keyframes[k].dthat_br for k in self._frames}
-        return poses, dt_bc, dthat
+        return poses, dt_bc
 
 
 class VisualFactor(_CameraFactor):
     kind = "visual"
 
     def evaluate(self, window, want_jacobian=False, cache=None):
-        poses, dt_bc, dthat = self._dicts(window, cache)
-        out = pa.visual_pa_residual(self.track, self.observer, poses, window.cam_ext,
-                                    dt_bc, dthat, self.sigma_u, want_jacobian)
+        poses, dt_bc = self._dicts(window, cache)
+        r, J = pa.visual_pa_residual(self.track, self.observer, poses, window.cam_ext,
+                                     dt_bc, window.dthat_br, want_jacobian)
         s = 1.0 / self.sigma_u  # cov = sigma_u^2 I
         if not want_jacobian:
-            return s * out[0], None
-        return s * out[0], {k: s * v for k, v in out[2].items()}
+            return s * r, None
+        return s * r, {k: s * v for k, v in J.items()}
 
 
 class DepthFactor(_CameraFactor):
     kind = "depth"
 
     def evaluate(self, window, want_jacobian=False, cache=None):
-        poses, dt_bc, dthat = self._dicts(window, cache)
-        out = pa.lidar_depth_pa_residual(self.track, self.observer, poses, window.cam_ext,
-                                         dt_bc, dthat, self.sigma_u, want_jacobian)
-        w = np.array([1.0 / self.sigma_u, 1.0 / self.sigma_u, 1.0])  # diag cov
+        poses, dt_bc = self._dicts(window, cache)
+        r, J = pa.lidar_depth_pa_residual(self.track, self.observer, poses, window.cam_ext,
+                                          dt_bc, window.dthat_br, want_jacobian)
+        # cov = diag(sigma_u^2, sigma_u^2, 1): the depth row is already whitened
+        w = np.array([1.0 / self.sigma_u, 1.0 / self.sigma_u, 1.0])
         if not want_jacobian:
-            return w * out[0], None
-        return w * out[0], {k: w[:, None] * v for k, v in out[2].items()}
+            return w * r, None
+        return w * r, {k: w[:, None] * v for k, v in J.items()}
 
 
 class LidarPaFactor(Factor):
@@ -321,12 +323,12 @@ class LidarPaFactor(Factor):
     def evaluate(self, window, want_jacobian=False, cache=None):
         frames = {
             k: pa.LidarFrameContext(_kf_pose(window, k, cache), window.keyframes[k].v,
-                                    window.keyframes[k].angular_rate,
-                                    window.keyframes[k].dthat_br)
+                                    window.keyframes[k].angular_rate)
             for k in self._frames
         }
         out = pa.lidar_pa_residual(self.cluster, frames, window.lid_ext,
-                                   window.lid_ext.dt_br, want_jacobian, cache=cache)
+                                   window.lid_ext.dt_br, window.dthat_br, want_jacobian,
+                                   cache=cache)
         s = 1.0 / np.sqrt(out[1][0, 0])  # scalar residual
         if not want_jacobian:
             return s * out[0], None
@@ -347,15 +349,13 @@ class F2mFactor(Factor):
 
     def evaluate(self, window, want_jacobian=False, cache=None):
         kf = window.keyframes[self.meas.keyframe_id]
-        out = f2m_pose_residual(_kf_pose(window, self.meas.keyframe_id, cache),
-                                window.lid_ext, self.meas, kf.v,
-                                kf.angular_rate, window.lid_ext.dt_br, kf.dthat_br,
-                                want_jacobian)
-        rw = solve_triangular(self._L, out[0], lower=True)
+        r, J = f2m_pose_residual(_kf_pose(window, self.meas.keyframe_id, cache),
+                                 window.lid_ext, self.meas, kf.v, kf.angular_rate,
+                                 window.lid_ext.dt_br, window.dthat_br, want_jacobian)
+        rw = solve_triangular(self._L, r, lower=True)
         if not want_jacobian:
             return rw, None
-        J = {k: solve_triangular(self._L, v, lower=True) for k, v in out[2].items()}
-        return rw, J
+        return rw, {k: solve_triangular(self._L, v, lower=True) for k, v in J.items()}
 
 
 class GaussianPriorFactor(Factor):
@@ -589,18 +589,19 @@ def marginalize_factors(window: WindowState, factors: list, marg_keys: list,
     return PriorInfo(retained, lin, sqrt_info, r0)
 
 
-def marginal_covariance(problem: AssembledProblem, window: WindowState, keys):
-    """Joint covariance block of the requested keys at the current solution."""
-    H, _, _ = problem.linearize(window)
+def covariance_blocks(H: np.ndarray, index: dict, keys) -> dict:
+    """Covariance block of each requested key that the problem index holds,
+    read from the information matrix H (one inversion for all keys)."""
     try:
         cov = np.linalg.inv(H)
     except np.linalg.LinAlgError as exc:
         raise IndefiniteSystemError("singular information matrix") from exc
-    idx = []
+    out = {}
     for k in keys:
-        off, d = problem.index[k]
-        idx += list(range(off, off + d))
-    return cov[np.ix_(idx, idx)]
+        if k in index:
+            off, d = index[k]
+            out[k] = cov[off:off + d, off:off + d]
+    return out
 
 
 def yaw_std(window: WindowState, kf_id: int, cov_q: np.ndarray) -> float:
@@ -623,7 +624,6 @@ class EstimatorConfig:
     max_iterations: int = 12
     rel_tol: float = 1e-8  # relative cost-decrease convergence threshold
     imu_noise: ImuNoiseConfig = field(default_factory=ImuNoiseConfig)
-    time_delay: TimeDelayConfig = field(default_factory=TimeDelayConfig)
     f2m_sigma_pt: float = 0.02
     max_cluster_points: int = 24
     max_tracks: int = 40
@@ -695,18 +695,17 @@ class Estimator:
         self._imu = sorted(samples, key=lambda s: s.timestamp)
 
     def initialize(self, bundle: FrameBundle, p, q, v, bg=None, ba=None,
-                   dt_bc: float | None = None):
-        """Seed the first keyframe from an externally supplied state."""
+                   dt_bc: float = 0.0):
+        """Seed the first keyframe from an externally supplied state; dt_bc
+        is the initial camera delay."""
         if self.window.keyframes:
             raise RuntimeError("already initialized")
-        dthat = self.window.lid_ext.dt_br
-        state = KeyframeState(bundle.stamp + dthat, p, q, v,
+        t0 = bundle.stamp + self.window.dthat_br
+        state = KeyframeState(t0, p, q, v,
                               np.zeros(3) if bg is None else bg,
                               np.zeros(3) if ba is None else ba,
-                              self.cfg.time_delay.initial_dt_bc if dt_bc is None else dt_bc,
-                              dthat_br=dthat,
-                              angular_rate=self._gyro_at(bundle.stamp + dthat,
-                                                         np.zeros(3) if bg is None else bg))
+                              dt_bc,
+                              angular_rate=self._gyro_at(t0, np.zeros(3) if bg is None else bg))
         kf = self._next_id
         self._next_id += 1
         self.window.add(kf, state)
@@ -745,14 +744,13 @@ class Estimator:
             raise RuntimeError("call initialize() first")
         ids = self.window.ordered_ids()
         last = self.window.keyframes[ids[-1]]
-        t_k = bundle.stamp + last.dthat_br
+        t_k = bundle.stamp + self.window.dthat_br
         segment = slice_samples(self._imu, last.timestamp, t_k)
         pre = integrate(segment, last.bg, last.ba, self.cfg.imu_noise)
         poses, vels = mechanize(last, segment)
         _, pose_pred = poses[-1]
         state = KeyframeState(t_k, pose_pred.t, pose_pred.q, vels[-1],
                               last.bg.copy(), last.ba.copy(), last.dt_bc,
-                              dthat_br=last.dthat_br,
                               angular_rate=segment[-1].angular_rate - last.bg)
         kf = self._next_id
         self._next_id += 1
@@ -786,11 +784,9 @@ class Estimator:
         if key not in problem.index:
             return
         try:
-            cov_full = np.linalg.inv(H)
-        except np.linalg.LinAlgError:
+            cov = covariance_blocks(H, problem.index, [key])[key]
+        except IndefiniteSystemError:
             return
-        off, d = problem.index[key]
-        cov = cov_full[off:off + d, off:off + d]
         t = self.window.keyframes[kf].timestamp
         self.yaw_std_series.append((t, yaw_std(self.window, kf, cov)))
 
@@ -873,7 +869,7 @@ class Estimator:
             if self.calibrates:
                 dt = (self.window.keyframes[kj].timestamp
                       - self.window.keyframes[ki].timestamp)
-                factors.append(TimeDelayFactor(ki, kj, dt, self.cfg.time_delay))
+                factors.append(TimeDelayFactor(ki, kj, dt))
 
         if self.uses_camera:
             for track in self._tracks_in_window():

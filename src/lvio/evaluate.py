@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .geometry import Pose, log_map, quat_conjugate, quat_multiply, quat_to_matrix
+from .geometry import Pose, euler_zyx
 
 ASSOC_TOL = 0.010  # s
 
@@ -21,17 +21,21 @@ class AssociationError(ValueError):
     """Too few associated pose pairs."""
 
 
-def associate(estimate, truth, tol: float = ASSOC_TOL):
-    """Pair (t, Pose) records by nearest timestamp within tol."""
+def _nearest_pairs(estimate, truth, tol: float):
+    """(t, estimated Pose, truth Pose) for each estimate record whose nearest
+    truth stamp is within tol."""
     tt = np.array([t for t, _ in truth])
-    pairs = []
     for t, pose in estimate:
         i = int(np.clip(np.searchsorted(tt, t), 0, len(tt) - 1))
         if i > 0 and abs(tt[i - 1] - t) < abs(tt[i] - t):
             i -= 1
         if abs(tt[i] - t) <= tol:
-            pairs.append((pose, truth[i][1]))
-    return pairs
+            yield t, pose, truth[i][1]
+
+
+def associate(estimate, truth, tol: float = ASSOC_TOL):
+    """Pair (t, Pose) records by nearest timestamp within tol."""
+    return [(pose, gt) for _, pose, gt in _nearest_pairs(estimate, truth, tol)]
 
 
 def umeyama_se3(src: np.ndarray, dst: np.ndarray):
@@ -68,28 +72,14 @@ def end_to_end_error(estimate) -> float:
     return float(np.linalg.norm(estimate[-1][1].t - estimate[0][1].t))
 
 
-def _euler_zyx(R):
-    pitch = math.asin(float(np.clip(-R[2, 0], -1.0, 1.0)))
-    roll = math.atan2(R[2, 1], R[2, 2])
-    yaw = math.atan2(R[1, 0], R[0, 0])
-    return roll, pitch, yaw
-
-
 def attitude_error_series(estimate, truth, tol: float = ASSOC_TOL):
     """Per-time (t, roll, pitch, yaw) attitude errors in degrees.
 
     The error rotation is expressed in the truth body frame (R_gt^T R_est)
     and decomposed ZYX."""
-    tt = np.array([t for t, _ in truth])
     out = []
-    for t, pose in estimate:
-        i = int(np.clip(np.searchsorted(tt, t), 0, len(tt) - 1))
-        if i > 0 and abs(tt[i - 1] - t) < abs(tt[i] - t):
-            i -= 1
-        if abs(tt[i] - t) > tol:
-            continue
-        R_err = truth[i][1].rotation_matrix().T @ pose.rotation_matrix()
-        r, p, y = _euler_zyx(R_err)
+    for t, pose, gt in _nearest_pairs(estimate, truth, tol):
+        r, p, y = euler_zyx(gt.rotation_matrix().T @ pose.rotation_matrix())
         out.append((t, math.degrees(r), math.degrees(p), math.degrees(y)))
     if len(out) < 10:
         raise AssociationError(f"only {len(out)} associated pairs")

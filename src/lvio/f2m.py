@@ -220,10 +220,13 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
                       meas: F2mPoseMeasurement, velocity=None, angular_rate=None,
                       dt_br: float = 0.0, dthat_br: float = 0.0,
                       want_jacobian: bool = False):
-    """6-vector F2M pose residual (translation, Log rotation) and covariance.
+    """6-vector F2M pose residual (translation, Log rotation) and its
+    jacobian blocks: (r, None), or (r, J) with want_jacobian. The covariance
+    is ``meas.covariance``.
 
     The body pose is shifted to the LiDAR sampling instant by
-    `calibration.compensate_lidar_pose` when velocity/angular_rate are given.
+    `calibration.compensate_lidar_pose` over dt_br - dthat_br when
+    velocity/angular_rate are given.
     """
     v = np.zeros(3) if velocity is None else np.asarray(velocity, float)
     w = np.zeros(3) if angular_rate is None else np.asarray(angular_rate, float)
@@ -235,7 +238,7 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     r_q = log_map(q_err)
     r = np.concatenate([r_t, r_q])
     if not want_jacobian:
-        return r, meas.covariance
+        return r, None
 
     kf = meas.keyframe_id
     Rrb = quat_to_matrix(ext.q_rb)
@@ -269,7 +272,7 @@ def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
     Jdt[0:3, 0] = v - c.RE @ (skew(ext.p_br) @ (c.Jr @ w))
     Jdt[3:6, 0] = Jr_inv @ (C.T @ (c.Jr @ w))
     J[("ldt", -1)] = Jdt
-    return r, meas.covariance, J
+    return r, J
 
 
 def insert_marginalized_frame(scan_r: np.ndarray, final_body_pose: Pose,

@@ -1,9 +1,13 @@
 """Pose-only measurement factors: visual F2F, LiDAR-depth, and LiDAR plane.
 
 All residuals are pure functions of (window states, measurement) and return
-analytic jacobians w.r.t. the parameter blocks they touch. Blocks are keyed
-by (name, keyframe_id); window-global blocks (extrinsics, LiDAR time delay)
-use id -1:
+analytic jacobians w.r.t. the parameter blocks they touch: with
+want_jacobian, (residual, jacobian blocks); without, (residual, None). The
+camera residuals return no covariance: their noise (the normalized pixel
+sigma, and sigma_d folded into the depth row) is applied by the caller.
+`lidar_pa_residual` returns (residual, 1x1 covariance[, blocks]), because
+its variance depends on the data. Blocks are keyed by (name, keyframe_id);
+window-global blocks (extrinsics, LiDAR time delay) use id -1:
 
     ("p", k)   keyframe position            3
     ("q", k)   keyframe attitude (right multiplicative perturbation) 3
@@ -20,10 +24,11 @@ difference: both the predicted point and the observed normalized coordinate
 are renormalized to unit vectors before subtraction.
 
 Time-delay compensation is not written here: the camera residuals shift each
-observation with `calibration.compensate_feature`, and the LiDAR plane
-residual moves each keyframe pose to the LiDAR sampling instant with
-`calibration.compensate_lidar_pose`, the same function the F2M pose residual
-in `f2m` uses.
+observation with `calibration.compensate_feature` by dt_bc[k] - dthat_br,
+and the LiDAR plane residual moves each keyframe pose to the LiDAR sampling
+instant over dt_br - dthat_br with `calibration.compensate_lidar_pose`, the
+same function the F2M pose residual in `f2m` uses. dthat_br is one scalar,
+the LiDAR delay every frame of the window was preprocessed with.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .calibration import (
     compensate_feature,
     compensate_lidar_pose,
 )
-from .geometry import Pose, quat_to_matrix, skew
+from .geometry import Pose, cross3, quat_to_matrix, skew
 
 # Parallax below this is treated as degenerate and the factor is skipped.
 THETA_MIN = 1e-3
@@ -143,10 +148,10 @@ def pose_only_depth(u_zeta, u_eta, pose_zeta: Pose, pose_eta: Pose,
     Rz = pose_zeta.rotation_matrix()
     Re = pose_eta.rotation_matrix()
     p_ez = Re.T @ (pose_zeta.t - pose_eta.t)
-    theta = np.linalg.norm(np.cross(u_eta, Re.T @ (Rz @ u_zeta)))
+    theta = np.linalg.norm(cross3(u_eta, Re.T @ (Rz @ u_zeta)))
     if theta < theta_min:
         raise DegenerateParallaxError(f"parallax {theta} below {theta_min}")
-    return float(np.linalg.norm(np.cross(u_eta, p_ez)) / theta), float(theta)
+    return float(np.linalg.norm(cross3(u_eta, p_ez)) / theta), float(theta)
 
 
 def select_anchors(observations: list, camera_poses: dict, zeta: int | None):
@@ -205,29 +210,33 @@ def _chain_cam_to_blocks(J, frame_id, d_t, d_f, d_u, Rb, ext, v_u):
     _accumulate(J, ("dt", frame_id), d_u @ dudt)
 
 
-def _depth_partials(uz, ue, Rz, Re, tz, te):
-    """Pose-only depth and its partials w.r.t. camera primitives.
+def _depth(uz, ue, Rz, Re, tz, te):
+    """Pose-only depth of the landmark along m = Rz uz from camera zeta,
+    anchored by camera eta.
 
-    Returns (d, partials, m) with partials keyed 'tz','te','fz','fe','uz',
-    'ue' (1x3 each) and m = Rz uz."""
-    w = tz - te
-    p_ez = Re.T @ w
-    a = np.cross(ue, p_ez)
+    Returns (d, m, terms) where terms feed _depth_partials."""
+    p_ez = Re.T @ (tz - te)
+    a = cross3(ue, p_ez)
     na = np.linalg.norm(a)
     m = Rz @ uz
     s = Re.T @ m
-    tv = np.cross(ue, s)
+    tv = cross3(ue, s)
     nt = np.linalg.norm(tv)
     if nt < THETA_MIN:
         raise DegenerateParallaxError(f"parallax {nt} below {THETA_MIN}")
-    d = na / nt
+    return na / nt, m, (ue, Re, p_ez, a, na, s, tv, nt)
 
+
+def _depth_partials(terms, Rz, uz):
+    """Partials of the pose-only depth w.r.t. camera primitives, keyed
+    'tz','te','fz','fe','uz','ue' (1x3 each)."""
+    ue, Re, p_ez, a, na, s, tv, nt = terms
     ra = (a / (na * nt))[None, :] if na > 0 else np.zeros((1, 3))
     rt = (-na * tv / nt**3)[None, :]
     rpez = ra @ skew(ue)
     rs = rt @ skew(ue)
 
-    P = {
+    return {
         "tz": rpez @ Re.T,
         "te": -rpez @ Re.T,
         "fe": rpez @ skew(p_ez) + rs @ skew(s),
@@ -235,7 +244,6 @@ def _depth_partials(uz, ue, Rz, Re, tz, te):
         "uz": (rs @ Re.T) @ Rz,
         "ue": -ra @ skew(p_ez) - rt @ skew(s),
     }
-    return d, P, m
 
 
 def _bearing(d, m, uj, Rj, tz, tj):
@@ -272,30 +280,27 @@ def _bearing_partials(terms, Rz, uz):
     }
 
 
-def _compensated_obs(track, frame_id, dt_bc, dthat):
+def _compensated_obs(track, frame_id, dt_bc, dthat_br):
     o = track.observation(frame_id)
-    shift = dt_bc.get(frame_id, 0.0) - dthat.get(frame_id, 0.0)
-    return compensate_feature(o.p_u, o.v_u, shift), o.v_u
+    return compensate_feature(o.p_u, o.v_u, dt_bc.get(frame_id, 0.0) - dthat_br), o.v_u
 
 
-def _camera_setup(track, observer, body_poses, ext, dt_bc, dthat):
+def _camera_setup(track, observer, body_poses, ext, dt_bc, dthat_br):
     """The part both camera residuals share: the compensated observation and
     camera frame of zeta, eta and the observer j, and the pose-only depth.
 
-    Returns (cams, d, depth partials, m) with cams = [(frame_id, u, v_u, Rb,
+    Returns (cams, d, m, depth terms) with cams = [(frame_id, u, v_u, Rb,
     Rc, tc)] for zeta, eta and j, in that order."""
     z, e, j = track.anchor_zeta, track.anchor_eta, observer
     if j == z:
         raise ValueError("observer must differ from anchor zeta")
     dt_bc = dt_bc or {}
-    dthat = dthat or {}
     cams = []
     for k in (z, e, j):
-        u, v_u = _compensated_obs(track, k, dt_bc, dthat)
+        u, v_u = _compensated_obs(track, k, dt_bc, dthat_br)
         cams.append((k, u, v_u, *_cam_frame(body_poses[k], ext)))
     (_, uz, _, _, Rz, tz), (_, ue, _, _, Re, te) = cams[:2]
-    d, DP, m = _depth_partials(uz, ue, Rz, Re, tz, te)
-    return cams, d, DP, m
+    return (cams, *_depth(uz, ue, Rz, Re, tz, te))
 
 
 def _chain_roles(cams, ext, role_partials):
@@ -308,23 +313,23 @@ def _chain_roles(cams, ext, role_partials):
 
 def visual_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
                        ext: CameraImuExtrinsics, dt_bc: dict | None = None,
-                       dthat: dict | None = None, sigma_u: float = 1e-3,
-                       want_jacobian: bool = False):
+                       dthat_br: float = 0.0, want_jacobian: bool = False):
     """Visual pose-only residual of observer j against anchors (zeta, eta).
 
-    Returns (residual 2-vector, 2x2 covariance[, jacobian blocks]).
+    Returns (residual 2-vector, None), or (residual, jacobian blocks) with
+    want_jacobian.
     """
-    cams, d, DP, m = _camera_setup(track, observer, body_poses, ext, dt_bc, dthat)
+    cams, d, m, dterms = _camera_setup(track, observer, body_poses, ext, dt_bc, dthat_br)
     (_, uz, _, _, Rz, tz), _, (_, uj, _, _, Rj, tj) = cams
     r, terms = _bearing(d, m, uj, Rj, tz, tj)
-    cov = np.eye(2) * sigma_u**2
     if not want_jacobian:
-        return r, cov
+        return r, None
 
+    DP = _depth_partials(dterms, Rz, uz)
     dr_dd, BP = _bearing_partials(terms, Rz, uz)
     dr_dd = dr_dd[:, None]  # (2,1)
     # per-role (translation, rotation, observation) partials, 2x3 each
-    return r, cov, _chain_roles(cams, ext, [
+    return r, _chain_roles(cams, ext, [
         (dr_dd @ DP["tz"] + BP["tz"], dr_dd @ DP["fz"] + BP["fz"],
          dr_dd @ DP["uz"] + BP["uz"]),
         (dr_dd @ DP["te"], dr_dd @ DP["fe"], dr_dd @ DP["ue"]),
@@ -334,22 +339,25 @@ def visual_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
 
 def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
                             ext: CameraImuExtrinsics, dt_bc: dict | None = None,
-                            dthat: dict | None = None, sigma_u: float = 1e-3,
-                            want_jacobian: bool = False):
+                            dthat_br: float = 0.0, want_jacobian: bool = False):
     """LiDAR-depth pose-only residual: the bearing residual evaluated at the
     measured depth, stacked with the whitened depth discrepancy
-    (d_pose - d_meas) / sigma_d."""
+    (d_pose - d_meas) / sigma_d.
+
+    Returns (residual 3-vector, None), or (residual, jacobian blocks) with
+    want_jacobian."""
     if track.lidar_depth is None:
         raise ValueError("track has no LiDAR depth")
     d_meas, sigma_d = track.lidar_depth
-    cams, d_pose, DP, m = _camera_setup(track, observer, body_poses, ext, dt_bc, dthat)
+    cams, d_pose, m, dterms = _camera_setup(track, observer, body_poses, ext, dt_bc,
+                                            dthat_br)
     (_, uz, _, _, Rz, tz), _, (_, uj, _, _, Rj, tj) = cams
     rb, terms = _bearing(d_meas, m, uj, Rj, tz, tj)
     r = np.array([rb[0], rb[1], (d_pose - d_meas) / sigma_d])
-    cov = np.diag([sigma_u**2, sigma_u**2, 1.0])
     if not want_jacobian:
-        return r, cov
+        return r, None
 
+    DP = _depth_partials(dterms, Rz, uz)
     _, BP = _bearing_partials(terms, Rz, uz)
 
     def stack(bearing, depth_row):
@@ -359,7 +367,7 @@ def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, body_poses: dic
         return out
 
     no_bearing = np.zeros((2, 3))  # the bearing at d_meas does not involve eta
-    return r, cov, _chain_roles(cams, ext, [
+    return r, _chain_roles(cams, ext, [
         (stack(BP["tz"], DP["tz"][0]), stack(BP["fz"], DP["fz"][0]),
          stack(BP["uz"], DP["uz"][0])),
         (stack(no_bearing, DP["te"][0]), stack(no_bearing, DP["fe"][0]),
@@ -398,12 +406,13 @@ class LidarFrameContext:
     pose: Pose
     velocity: np.ndarray
     angular_rate: np.ndarray  # bias-corrected gyro near the keyframe epoch
-    dthat_br: float = 0.0  # delay the frame was preprocessed with
 
 
 def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
-                      dt_br: float, cache: dict | None = None):
-    """World-frame projection of a cluster, grouped per keyframe.
+                      delta_t: float, cache: dict | None = None):
+    """World-frame projection of a cluster, grouped per keyframe, with each
+    keyframe pose moved delta_t = dt_br - dthat_br to the LiDAR sampling
+    instant.
 
     Returns (groups, world, Rrb) where groups maps keyframe ->
     (ctx, comp, pts_r (n,3), y (n,3), world (n,3)) and comp is the
@@ -426,8 +435,8 @@ def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
         if cache is not None and ck in cache:
             comp = cache[ck]
         else:
-            comp = compensate_lidar_pose(ctx.pose, dt_br - ctx.dthat_br,
-                                         ctx.velocity, ctx.angular_rate)
+            comp = compensate_lidar_pose(ctx.pose, delta_t, ctx.velocity,
+                                         ctx.angular_rate)
             if cache is not None:
                 cache[ck] = comp
         pts_r = np.asarray(plist)
@@ -439,11 +448,13 @@ def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
 
 
 def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
-                      dt_br: float = 0.0, want_jacobian: bool = False,
-                      plane: PlaneModel | None = None, cache: dict | None = None):
+                      dt_br: float = 0.0, dthat_br: float = 0.0,
+                      want_jacobian: bool = False, plane: PlaneModel | None = None,
+                      cache: dict | None = None):
     """Plane-thickness residual of a same-plane cluster.
 
-    frames: keyframe_id -> LidarFrameContext. The plane is re-fit from the
+    frames: keyframe_id -> LidarFrameContext; every frame was preprocessed
+    with the LiDAR delay dthat_br. The plane is re-fit from the
     currently projected world points unless an explicit plane is given;
     jacobians treat the plane as fixed at the linearization point.
 
@@ -453,7 +464,7 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
 
     Returns (residual (1,), covariance (1,1)[, jacobian blocks]).
     """
-    groups, world, Rrb = _cluster_by_frame(cluster, frames, ext, dt_br, cache)
+    groups, world, Rrb = _cluster_by_frame(cluster, frames, ext, dt_br - dthat_br, cache)
     if plane is None:
         plane = fit_plane(world)
     N = len(world)

@@ -26,6 +26,15 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b for two 3-vectors, written out by components: at this size
+    np.cross spends most of its time on argument handling. Use np.cross
+    for (N, 3) arrays."""
+    ax, ay, az = a
+    bx, by, bz = b
+    return np.array([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx])
+
+
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Normalize to unit length and flip to the w >= 0 hemisphere."""
     q = np.asarray(q, dtype=float)
@@ -76,8 +85,16 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate a 3-vector by a unit quaternion (equivalent to R(q) @ v)."""
     qv = q[1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + q[0] * t + np.cross(qv, t)
+    t = 2.0 * cross3(qv, v)
+    return v + q[0] * t + cross3(qv, t)
+
+
+def euler_zyx(R: np.ndarray):
+    """(roll, pitch, yaw) in radians of a rotation matrix R = Rz(yaw) Ry(pitch) Rx(roll)."""
+    pitch = math.asin(float(np.clip(-R[2, 0], -1.0, 1.0)))
+    roll = math.atan2(R[2, 1], R[2, 2])
+    yaw = math.atan2(R[1, 0], R[0, 0])
+    return roll, pitch, yaw
 
 
 def exp_map(phi: np.ndarray) -> np.ndarray:

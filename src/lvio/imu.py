@@ -6,8 +6,9 @@ Integration uses a midpoint scheme per sample interval; the error state
 is (dp, dtheta, dv, dbg, dba) with a rotation-vector attitude error and
 right multiplicative perturbation.
 
-Gravity is a fixed known constant in the world frame (default
-(0, 0, -9.81) m/s^2); it is re-added at prediction/residual time.
+Gravity is the fixed world-frame constant GRAVITY_W, (0, 0, -9.81) m/s^2;
+it is re-added at prediction/residual time. The bias random-walk densities
+are the constants GYRO_BIAS_WALK and ACCEL_BIAS_WALK.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .geometry import (
 )
 
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
+GYRO_BIAS_WALK = 1.0e-5  # rad/s^2/sqrt(Hz)
+ACCEL_BIAS_WALK = 1.0e-4  # m/s^3/sqrt(Hz)
 _STAMP = attrgetter("timestamp")
 
 
@@ -50,8 +53,6 @@ class ImuSample:
 class ImuNoiseConfig:
     gyro_noise: float = 2.0e-3  # rad/s/sqrt(Hz)
     accel_noise: float = 2.0e-2  # m/s^2/sqrt(Hz)
-    gyro_bias_walk: float = 1.0e-5  # rad/s^2/sqrt(Hz)
-    accel_bias_walk: float = 1.0e-4  # m/s^3/sqrt(Hz)
 
 
 @dataclass
@@ -113,8 +114,8 @@ def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedIm
     P = np.zeros((15, 15))
     sg2 = noise.gyro_noise**2
     sa2 = noise.accel_noise**2
-    sbg2 = noise.gyro_bias_walk**2
-    sba2 = noise.accel_bias_walk**2
+    sbg2 = GYRO_BIAS_WALK**2
+    sba2 = ACCEL_BIAS_WALK**2
 
     for s0, s1 in zip(samples[:-1], samples[1:]):
         dt = s1.timestamp - s0.timestamp
@@ -196,53 +197,40 @@ def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedIm
     )
 
 
-def preintegration_residual(state_i, state_j, pre: PreintegratedImu, gravity=GRAVITY_W):
-    """15-vector residual (rp, rtheta, rv, rbg, rba) and its covariance.
+def preintegration_residual(state_i, state_j, pre: PreintegratedImu,
+                            want_jacobian: bool = False):
+    """15-vector residual (rp, rtheta, rv, rbg, rba) and its jacobians.
 
     ``state_i``/``state_j`` need attributes timestamp, p, q, v, bg, ba
-    (see estimator.KeyframeState).
+    (see estimator.KeyframeState). Returns (r, None), or with want_jacobian
+    (r, J) where J has keys ('p_i','q_i','v_i','bg_i','ba_i', 'p_j','q_j',
+    'v_j','bg_j','ba_j') of 15x3 blocks. Attitude blocks use a right
+    multiplicative perturbation q <- q (x) Exp(theta). The covariance is
+    ``pre.covariance``.
     """
     T = state_j.timestamp - state_i.timestamp
     if abs(T - pre.duration) > 1e-3:
         raise ValueError(
             f"preintegration duration {pre.duration} does not match keyframe interval {T}"
         )
-    g = np.asarray(gravity, dtype=float)
     Ri = quat_to_matrix(state_i.q)
     dp, dv, dq = pre.corrected_deltas(state_j.bg, state_j.ba)
+    dP = state_j.p - state_i.p - state_i.v * T - 0.5 * GRAVITY_W * T * T
+    dV = state_j.v - state_i.v - GRAVITY_W * T
 
-    rp = Ri.T @ (state_j.p - state_i.p - state_i.v * T - 0.5 * g * T * T) - dp
-    rv = Ri.T @ (state_j.v - state_i.v - g * T) - dv
+    rp = Ri.T @ dP - dp
+    rv = Ri.T @ dV - dv
     rq = log_map(
         quat_multiply(quat_conjugate(dq), quat_multiply(quat_conjugate(state_i.q), state_j.q))
     )
     r = np.concatenate([rp, rq, rv, state_j.bg - state_i.bg, state_j.ba - state_i.ba])
-    return r, pre.covariance
+    if not want_jacobian:
+        return r, None
 
-
-def preintegration_jacobians(state_i, state_j, pre: PreintegratedImu, gravity=GRAVITY_W):
-    """Analytic jacobians of the preintegration residual.
-
-    Returns a dict with keys ('p_i','q_i','v_i','bg_i','ba_i',
-    'p_j','q_j','v_j','bg_j','ba_j') of 15xD blocks. Attitude blocks use a
-    right multiplicative perturbation q <- q (x) Exp(theta).
-    """
-    T = state_j.timestamp - state_i.timestamp
-    g = np.asarray(gravity, dtype=float)
-    Ri = quat_to_matrix(state_i.q)
     Rj = quat_to_matrix(state_j.q)
-
-    dbg = state_j.bg - pre.bias_g
-    v_bg = pre.dq_dbg @ dbg
-    dq_corr = quat_multiply(pre.delta_q, exp_map(v_bg))
-    M = quat_to_matrix(dq_corr).T @ Ri.T @ Rj
-    phi = log_map(
-        quat_multiply(quat_conjugate(dq_corr), quat_multiply(quat_conjugate(state_i.q), state_j.q))
-    )
-    Jr_inv = so3_right_jacobian_inv(phi)
-
-    dP = state_j.p - state_i.p - state_i.v * T - 0.5 * g * T * T
-    dV = state_j.v - state_i.v - g * T
+    v_bg = pre.dq_dbg @ (state_j.bg - pre.bias_g)
+    M = quat_to_matrix(dq).T @ Ri.T @ Rj
+    Jr_inv = so3_right_jacobian_inv(rq)
 
     J = {k: np.zeros((15, 3)) for k in (
         "p_i", "q_i", "v_i", "bg_i", "ba_i", "p_j", "q_j", "v_j", "bg_j", "ba_j")}
@@ -272,10 +260,10 @@ def preintegration_jacobians(state_i, state_j, pre: PreintegratedImu, gravity=GR
     J["bg_j"][9:12] = np.eye(3)
     J["ba_i"][12:15] = -np.eye(3)
     J["ba_j"][12:15] = np.eye(3)
-    return J
+    return r, J
 
 
-def mechanize(state, samples, gravity=GRAVITY_W):
+def mechanize(state, samples):
     """Forward INS mechanization from a keyframe state through IMU samples.
 
     Returns (poses, velocities): lists of (timestamp, Pose) and 3-vectors,
@@ -284,7 +272,6 @@ def mechanize(state, samples, gravity=GRAVITY_W):
     pose equals the state composed with the preintegrated delta.
     """
     samples = _validate_samples(samples)
-    g = np.asarray(gravity, dtype=float)
     p = np.asarray(state.p, dtype=float).copy()
     v = np.asarray(state.v, dtype=float).copy()
     q = np.asarray(state.q, dtype=float).copy()
@@ -301,7 +288,7 @@ def mechanize(state, samples, gravity=GRAVITY_W):
         f_mid = 0.5 * (
             quat_rotate(q, s0.specific_force - ba) + quat_rotate(q_new, s1.specific_force - ba)
         )
-        acc = f_mid + g
+        acc = f_mid + GRAVITY_W
         p = p + v * dt + 0.5 * acc * dt * dt
         v = v + acc * dt
         q = q_new

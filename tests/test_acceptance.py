@@ -15,7 +15,6 @@ from lvio import io
 from lvio.calibration import (
     CameraImuExtrinsics,
     LidarImuExtrinsics,
-    TimeDelayConfig,
     compensate_lidar_pose,
     pixel_angle_deg,
     time_delay_residual,
@@ -36,7 +35,7 @@ from lvio.estimator import (
 from lvio.evaluate import ate_rmse, end_to_end_error
 from lvio.f2m import GlobalPlaneMap, estimate_f2m_pose, f2m_pose_residual
 from lvio.geometry import Pose, exp_map, log_map, quat_multiply
-from lvio.imu import ImuNoiseConfig, ImuSample, integrate, preintegration_jacobians, preintegration_residual
+from lvio.imu import ImuNoiseConfig, ImuSample, integrate, preintegration_residual
 from lvio.simulate import simulate_scenario
 
 from conftest import fd_jacobian, perturb_pose, rand_pose, rand_quat, rel_error
@@ -81,7 +80,7 @@ def _imu_jacobian_errors(rng, n_points):
         s1 = state(ts[-1], rng.normal(size=3), rand_quat(rng), rng.normal(size=3),
                    s0.bg + rng.normal(size=3) * 1e-4, s0.ba + rng.normal(size=3) * 1e-3)
         pre = integrate(samples, s0.bg, s0.ba, noise)
-        J = preintegration_jacobians(s0, s1, pre)
+        _, J = preintegration_residual(s0, s1, pre, want_jacobian=True)
         Jfd_i = fd_jacobian(
             lambda d: preintegration_residual(perturbed(s0, d), s1, pre)[0], 15)
         Jfd_j = fd_jacobian(
@@ -118,7 +117,7 @@ def _visual_case(rng, with_depth):
     poses = {k: perturb_pose(p, rng.normal(size=3) * 0.05, rng.normal(size=3) * 0.02)
              for k, p in poses.items()}
     dt_bc = {k: rng.normal() * 0.005 for k in poses}
-    dthat = {k: rng.normal() * 0.002 for k in poses}
+    dthat = rng.normal() * 0.002
     return track, poses, ext, dt_bc, dthat
 
 
@@ -128,7 +127,7 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
     while done < n_points:
         try:
             track, poses, ext, dt_bc, dthat = _visual_case(rng, with_depth)
-            r, _, J = fn(track, 1, poses, ext, dt_bc, dthat, want_jacobian=True)
+            r, J = fn(track, 1, poses, ext, dt_bc, dthat, want_jacobian=True)
         except (pa.CheiralityError, pa.DegenerateParallaxError):
             continue
         for k in poses:
@@ -164,12 +163,12 @@ def _lidar_jacobian_errors(rng, n_points):
     worst_fixed, worst_refit = 0.0, 0.0
     for _ in range(n_points):
         frames, pts = {}, []
+        dthat = rng.normal() * 0.002
         for k in range(3):
             body = Pose(np.array([0.4 * k, 0.2 * k, 1.5]),
                         exp_map(np.array([0.01 * k, -0.02 * k, 0.3 * k])))
             frames[k] = pa.LidarFrameContext(body, rng.normal(size=3),
-                                             rng.normal(size=3) * 0.5,
-                                             dthat_br=rng.normal() * 0.002)
+                                             rng.normal(size=3) * 0.5)
             R = body.rotation_matrix()
             for _ in range(3):
                 pw = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2),
@@ -179,14 +178,14 @@ def _lidar_jacobian_errors(rng, n_points):
         ext_pose = rand_pose(rng, 0.1)
         ext = LidarImuExtrinsics(ext_pose.t, ext_pose.q)
         dt_br = rng.normal() * 0.004
-        r, cov, J = pa.lidar_pa_residual(cluster, frames, ext, dt_br,
+        r, cov, J = pa.lidar_pa_residual(cluster, frames, ext, dt_br, dthat,
                                          want_jacobian=True)
         # the plane the analytic jacobian treats as fixed
         Rrb = ext.pose().rotation_matrix()
         world = []
         for kf, p_r in cluster.points:
             ctx = frames[kf]
-            c = compensate_lidar_pose(ctx.pose, dt_br - ctx.dthat_br, ctx.velocity,
+            c = compensate_lidar_pose(ctx.pose, dt_br - dthat, ctx.velocity,
                                       ctx.angular_rate)
             world.append(c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t)
         plane_lin = pa.fit_plane(np.asarray(world))
@@ -197,8 +196,8 @@ def _lidar_jacobian_errors(rng, n_points):
                 c = frames[k]
                 moved[k] = pa.LidarFrameContext(
                     perturb_pose(c.pose, d[0:3], d[3:6]),
-                    c.velocity + d[6:9], c.angular_rate, c.dthat_br)
-                return pa.lidar_pa_residual(cluster, moved, ext, dt_br,
+                    c.velocity + d[6:9], c.angular_rate)
+                return pa.lidar_pa_residual(cluster, moved, ext, dt_br, dthat,
                                             plane=None if refit else plane_lin)[0]
 
             Ja = np.hstack([J[("p", k)], J[("q", k)], J[("v", k)]])
@@ -210,7 +209,7 @@ def _lidar_jacobian_errors(rng, n_points):
         def f_ext(d):
             moved = LidarImuExtrinsics(ext.p_br + d[0:3],
                                        quat_multiply(ext.q_rb, exp_map(d[3:6])))
-            return pa.lidar_pa_residual(cluster, frames, moved, dt_br + d[6],
+            return pa.lidar_pa_residual(cluster, frames, moved, dt_br + d[6], dthat,
                                         plane=plane_lin)[0]
 
         Ja = np.hstack([J[("lp", -1)], J[("lq", -1)], J[("ldt", -1)]])
@@ -231,7 +230,7 @@ def _f2m_jacobian_errors(rng, n_points):
         w = rng.normal(size=3) * 0.5
         dt_br = rng.normal() * 0.004
         dthat = rng.normal() * 0.002
-        r, _, J = f2m_pose_residual(body, ext, meas, v, w, dt_br, dthat,
+        r, J = f2m_pose_residual(body, ext, meas, v, w, dt_br, dthat,
                                     want_jacobian=True)
 
         def f_state(d):
@@ -259,8 +258,7 @@ def _timedelay_jacobian_errors(rng, n_points):
             win.add(k, KeyframeState(0.2 * k, np.zeros(3),
                                      np.array([1.0, 0, 0, 0]), np.zeros(3),
                                      dt_bc=rng.normal() * 0.01))
-        f = TimeDelayFactor(0, 1, float(rng.uniform(0.05, 0.5)),
-                            TimeDelayConfig())
+        f = TimeDelayFactor(0, 1, float(rng.uniform(0.05, 0.5)))
         _, J = f.evaluate(win, want_jacobian=True)
         for key in f.keys():
             def f_dt(d, key=key):
@@ -312,27 +310,25 @@ def _raw_residual(f, win):
                                        f.pre)[0]
     if kind == "timedelay":
         r, _ = time_delay_residual(win.keyframes[f.ki].dt_bc,
-                                   win.keyframes[f.kj].dt_bc, f.interval, f.cfg)
+                                   win.keyframes[f.kj].dt_bc, f.interval)
         return np.array([r])
     if kind in ("visual", "depth"):
         poses = {k: win.keyframes[k].pose() for k in f._frames}
         dt_bc = {k: win.keyframes[k].dt_bc for k in f._frames}
-        dthat = {k: win.keyframes[k].dthat_br for k in f._frames}
         fn = pa.visual_pa_residual if kind == "visual" else pa.lidar_depth_pa_residual
-        return fn(f.track, f.observer, poses, win.cam_ext, dt_bc, dthat)[0]
+        return fn(f.track, f.observer, poses, win.cam_ext, dt_bc, win.dthat_br)[0]
     if kind == "lidar":
         frames = {k: pa.LidarFrameContext(win.keyframes[k].pose(),
                                           win.keyframes[k].v,
-                                          win.keyframes[k].angular_rate,
-                                          win.keyframes[k].dthat_br)
+                                          win.keyframes[k].angular_rate)
                   for k in f._frames}
         return pa.lidar_pa_residual(f.cluster, frames, win.lid_ext,
-                                    win.lid_ext.dt_br)[0]
+                                    win.lid_ext.dt_br, win.dthat_br)[0]
     if kind == "f2m":
         kf = win.keyframes[f.meas.keyframe_id]
         return f2m_pose_residual(kf.pose(), win.lid_ext, f.meas, kf.v,
                                  kf.angular_rate, win.lid_ext.dt_br,
-                                 kf.dthat_br)[0]
+                                 win.dthat_br)[0]
     if kind == "prior":
         return boxminus(f.key[0], win.get_block(f.key), f.value)
     if kind == "marginal":

@@ -4,7 +4,6 @@ import pytest
 from lvio.calibration import (
     CameraImuExtrinsics,
     LidarImuExtrinsics,
-    TimeDelayConfig,
     calibration_report,
     compensate_feature,
     compensate_lidar_pose,
@@ -28,17 +27,11 @@ def test_compensate_feature_zero_delta():
 
 
 def test_time_delay_residual():
-    cfg = TimeDelayConfig(sigma_t_bc=1e-4)
-    r, var = time_delay_residual(0.002, 0.0025, 0.1, cfg)
+    r, var = time_delay_residual(0.002, 0.0025, 0.1)
     np.testing.assert_allclose(r, 0.0005, atol=1e-15)
     np.testing.assert_allclose(var, 1e-8 * 0.1)
     with pytest.raises(ValueError):
-        time_delay_residual(0.0, 0.0, -0.1, cfg)
-
-
-def test_time_delay_config_validation():
-    with pytest.raises(ValueError):
-        TimeDelayConfig(sigma_t_bc=0.0)
+        time_delay_residual(0.0, 0.0, -0.1)
 
 
 def test_compensate_lidar_pose_translation_only():

@@ -159,9 +159,8 @@ def test_f2m_residual_zero_at_measurement(rng):
     body = rand_pose(rng, 2.0)
     meas_pose = body.compose(ext_pose)
     meas = F2mPoseMeasurement(0, meas_pose, np.eye(6) * 1e-4)
-    r, cov = f2m_pose_residual(body, ext, meas)
+    r, _ = f2m_pose_residual(body, ext, meas)
     assert np.linalg.norm(r) < 1e-12
-    np.testing.assert_allclose(cov, meas.covariance)
 
 
 def test_f2m_measurement_validates_covariance():
@@ -183,8 +182,8 @@ def test_f2m_residual_jacobians_match_fd(rng):
         w = rng.normal(size=3) * 0.5
         dt_br = rng.normal() * 0.004
         dthat = rng.normal() * 0.002
-        r, _, J = f2m_pose_residual(body, ext, meas, v, w, dt_br, dthat,
-                                    want_jacobian=True)
+        r, J = f2m_pose_residual(body, ext, meas, v, w, dt_br, dthat,
+                                 want_jacobian=True)
 
         def f_state(d):
             return f2m_pose_residual(

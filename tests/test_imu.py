@@ -9,7 +9,6 @@ from lvio.imu import (
     ImuSample,
     integrate,
     mechanize,
-    preintegration_jacobians,
     preintegration_residual,
     slice_samples,
 )
@@ -105,9 +104,8 @@ def test_residual_self_consistency(rng):
     s0 = State(0.0, np.array([1.0, 2, 3]), rand_quat(rng), np.array([0.5, -0.1, 0.2]))
     s1 = _states_from_mechanization(samples, s0)
     pre = integrate(samples, np.zeros(3), np.zeros(3), NOISE)
-    r, cov = preintegration_residual(s0, s1, pre)
+    r, _ = preintegration_residual(s0, s1, pre)
     assert np.linalg.norm(r) < 1e-8
-    assert cov.shape == (15, 15)
 
 
 def test_residual_position_perturbation(rng):
@@ -175,7 +173,7 @@ def test_residual_jacobians_match_fd(rng):
             s0.ba + rng.normal(size=3) * 1e-3,
         )
         pre = integrate(samples, s0.bg, s0.ba, NOISE)
-        J = preintegration_jacobians(s0, s1, pre)
+        _, J = preintegration_residual(s0, s1, pre, want_jacobian=True)
 
         Jfd_i = fd_jacobian(
             lambda d: preintegration_residual(_perturbed_state(s0, d), s1, pre)[0], 15
