@@ -36,23 +36,23 @@ def load_run_inputs(data_dir):
 
 
 def build_bundles(features, clusters, mode):
-    """Merge per-frame feature and cluster streams into FrameBundles."""
-    feat_by_stamp = {round(s, 6): rows for s, _, rows in features}
+    """Merge the feature and cluster streams (`io.read_*_csv`) into one
+    FrameBundle per LiDAR frame, with the camera frame of the same stamp, or
+    per camera frame when there is no LiDAR stream or the mode is vio."""
+    if clusters and mode != "vio":
+        feat_by_stamp = {round(s, 6): rows for s, _, rows in features}
+        frames = [(stamp, feat_by_stamp.get(round(stamp, 6)), (cluster_ids, points))
+                  for stamp, _, cluster_ids, points in clusters]
+    else:
+        frames = [(stamp, rows, None) for stamp, _, rows in features]
     out = []
-    base = clusters if (clusters and mode != "vio") else features
-    for stamp, _, rows in base:
-        bundle = FrameBundle(stamp)
-        if base is clusters:
-            pts = [(cid, p) for cid, p in rows]
-            bundle.clusters = pts
-            bundle.scan = np.array([p for _, p in pts]) if pts else None
-            frows = feat_by_stamp.get(round(stamp, 6), [])
-        else:
-            frows = rows
-        if mode != "lio":
+    for stamp, frows, lidar in frames:
+        bundle = FrameBundle(stamp, clusters=lidar)
+        if mode != "lio" and frows is not None:
             bundle.features = [
-                (lm, np.array([ux, uy, 1.0]), np.array([vx, vy]), depth)
-                for lm, ux, uy, vx, vy, depth in frows
+                (int(lm), np.array([ux, uy, 1.0]), np.array([vx, vy]),
+                 None if math.isnan(depth) else (depth, sigma))
+                for lm, ux, uy, vx, vy, depth, sigma in frows.tolist()
             ]
         out.append(bundle)
     return out
@@ -204,11 +204,9 @@ def cmd_bench_f2m(args):
 
     pmap = GlobalPlaneMap(leaf_size=0.05)
     n_map = min(len(clusters) - 1, 10)
-    for stamp, _, rows in clusters[:n_map]:
-        pts = np.array([p for _, p in rows])
+    for stamp, _, _, pts in clusters[:n_map]:
         pmap.insert(pose_at(stamp).transform(pts))
-    stamp, _, rows = clusters[n_map]
-    scan = np.array([p for _, p in rows])
+    stamp, _, _, scan = clusters[n_map]
     reps = int(np.ceil(args.points / len(scan)))
     scan = np.tile(scan, (reps, 1))[:args.points]
     scan = scan + np.random.default_rng(0).normal(scale=1e-4, size=scan.shape)

@@ -53,6 +53,7 @@ from .imu import (
     preintegration_residual,
     slice_samples,
 )
+from .io import group_rows
 
 log = logging.getLogger(__name__)
 
@@ -312,7 +313,7 @@ class LidarPaFactor(Factor):
 
     def __init__(self, cluster: pa.PlaneCluster):
         self.cluster = cluster
-        self._frames = sorted({k for k, _ in cluster.points})
+        self._frames = sorted(cluster.points)
 
     def keys(self):
         out = []
@@ -636,10 +637,17 @@ class EstimatorConfig:
 
 @dataclass
 class FrameBundle:
-    stamp: float  # shared camera/LiDAR stamp on the sensor clock
-    features: list = field(default_factory=list)  # (landmark_id, p_u, v_u, depth|None)
-    clusters: list = field(default_factory=list)  # (cluster_id, p_r)
-    scan: np.ndarray | None = None
+    """One frame at its camera/LiDAR stamp on the sensor clock. features:
+    [(landmark_id, p_u (x, y, 1), v_u (2,), (depth, sigma) | None)]; clusters:
+    (cluster_ids (n,), points (n, 3) in the LiDAR frame) or None; scan: points."""
+
+    stamp: float
+    features: list = field(default_factory=list)
+    clusters: tuple | None = None
+
+    @property
+    def scan(self) -> np.ndarray | None:
+        return None if self.clusters is None else self.clusters[1]
 
 
 @dataclass
@@ -662,7 +670,7 @@ class Estimator:
         self._next_id = 0
         self._observations: dict = {}  # landmark_id -> list of (kf, FeatureObservation)
         self._depths: dict = {}  # landmark_id -> (kf, depth, sigma)
-        self._clusters: dict = {}  # cluster_id -> {kf: [p_r, ...]}
+        self._clusters: dict = {}  # cluster_id -> {kf: (n, 3) p_r}
         self._scans: dict = {}  # kf -> scan array
         self._preints: dict = {}  # (ki, kj) -> PreintegratedImu
         self._f2m: dict = {}  # kf -> F2mPoseMeasurement
@@ -730,12 +738,12 @@ class Estimator:
                 if (depth is not None and self.uses_lidar_planes
                         and landmark_id not in self._depths):
                     self._depths[landmark_id] = (kf, float(depth[0]), float(depth[1]))
-        if self.uses_lidar_planes:
-            for cluster_id, p_r in bundle.clusters:
-                self._clusters.setdefault(cluster_id, {}).setdefault(kf, []).append(
-                    np.asarray(p_r, dtype=float))
+        if self.uses_lidar_planes and bundle.clusters is not None:
+            cluster_ids, points = bundle.clusters
+            for cluster_id, rows in group_rows(cluster_ids):
+                self._clusters.setdefault(int(cluster_id), {})[kf] = points[rows]
         if bundle.scan is not None:
-            self._scans[kf] = np.asarray(bundle.scan, dtype=float)
+            self._scans[kf] = bundle.scan
 
     # -- per-frame pipeline -----------------------------------------------------
 
@@ -836,18 +844,13 @@ class Estimator:
         ids = set(self.window.keyframes)
         out = []
         for cluster_id, per_kf in self._clusters.items():
-            pts = []
-            budget = max(2, self.cfg.max_cluster_points // max(len(per_kf), 1))
-            for k, plist in per_kf.items():
-                if k not in ids:
-                    continue
-                for p in plist[:budget]:
-                    pts.append((k, p))
-            if len(pts) < 4 or len({k for k, _ in pts}) < 2:
+            budget = max(2, self.cfg.max_cluster_points // len(per_kf))
+            pts = {k: p[:budget] for k, p in per_kf.items() if k in ids}
+            if len(pts) < 2 or sum(map(len, pts.values())) < 4:
                 continue
             out.append(pa.PlaneCluster(cluster_id, pts))
         if len(out) > self.cfg.max_clusters:
-            out.sort(key=lambda c: -len(c.points))
+            out.sort(key=lambda c: -c.n_points)
             out = out[:self.cfg.max_clusters]
         return out
 

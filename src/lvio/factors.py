@@ -108,14 +108,22 @@ class LandmarkTrack:
 
 @dataclass
 class PlaneCluster:
+    """Points of one plane seen from several keyframes: points maps
+    keyframe_id -> (n, 3) array of p_r in the LiDAR frame, keyframes in
+    window order and each keyframe's points in scan order."""
+
     cluster_id: int
-    points: list  # of (keyframe_id, p_r 3-vector in the LiDAR frame)
+    points: dict
 
     def __post_init__(self):
-        if len(self.points) < 4:
+        if self.n_points < 4:
             raise ValueError("cluster needs at least 4 points")
-        if len({k for k, _ in self.points}) < 2:
+        if len(self.points) < 2:
             raise ValueError("cluster must span at least 2 keyframes")
+
+    @property
+    def n_points(self) -> int:
+        return sum(len(p) for p in self.points.values())
 
 
 @dataclass
@@ -410,7 +418,7 @@ class LidarFrameContext:
 
 def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
                       delta_t: float, cache: dict | None = None):
-    """World-frame projection of a cluster, grouped per keyframe, with each
+    """World-frame projection of a cluster's points, per keyframe, with each
     keyframe pose moved delta_t = dt_br - dthat_br to the LiDAR sampling
     instant.
 
@@ -418,28 +426,19 @@ def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     (ctx, comp, pts_r (n,3), y (n,3), world (n,3)) and comp is the
     keyframe's CompensatedLidarPose. `cache` memoizes Rrb and comp across
     clusters evaluated at the same window state."""
-    if cache is not None and "Rrb" in cache:
-        Rrb = cache["Rrb"]
-    else:
-        Rrb = quat_to_matrix(ext.q_rb)
-        if cache is not None:
-            cache["Rrb"] = Rrb
-    by_kf: dict = {}
-    for kf, p_r in cluster.points:
-        by_kf.setdefault(kf, []).append(p_r)
+    cache = {} if cache is None else cache
+    if "Rrb" not in cache:
+        cache["Rrb"] = quat_to_matrix(ext.q_rb)
+    Rrb = cache["Rrb"]
     groups = {}
     world = []
-    for kf, plist in by_kf.items():
+    for kf, pts_r in cluster.points.items():
         ctx = frames[kf]
         ck = ("lpose", kf)
-        if cache is not None and ck in cache:
-            comp = cache[ck]
-        else:
-            comp = compensate_lidar_pose(ctx.pose, delta_t, ctx.velocity,
-                                         ctx.angular_rate)
-            if cache is not None:
-                cache[ck] = comp
-        pts_r = np.asarray(plist)
+        if ck not in cache:
+            cache[ck] = compensate_lidar_pose(ctx.pose, delta_t, ctx.velocity,
+                                              ctx.angular_rate)
+        comp = cache[ck]
         y = pts_r @ Rrb.T + ext.p_br
         pw = y @ comp.RE.T + comp.t
         groups[kf] = (ctx, comp, pts_r, y, pw)
@@ -468,14 +467,9 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     if plane is None:
         plane = fit_plane(world)
     N = len(world)
-    ms_per_kf = []
-    eps_by_kf = {}
-    for kf, g in groups.items():
-        e = plane.distance(g[-1])
-        eps_by_kf[kf] = e
-        ms_per_kf.append(float(np.mean(e**2)))
-    r = np.array([sum(len(eps_by_kf[kf]) * ms for kf, ms in
-                      zip(groups, ms_per_kf)) / N])
+    eps_by_kf = {kf: plane.distance(g[-1]) for kf, g in groups.items()}
+    ms_per_kf = [float(np.mean(e**2)) for e in eps_by_kf.values()]
+    r = np.array([sum(len(e) * ms for e, ms in zip(eps_by_kf.values(), ms_per_kf)) / N])
     sigma = max(PLANE_COV_FLOOR, float(np.std(ms_per_kf)))
     cov = np.array([[sigma**2 / N]])
     if not want_jacobian:

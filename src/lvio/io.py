@@ -1,105 +1,97 @@
 """File formats: measurement CSVs, TUM trajectories, PPM images, configs.
 
-Formats:
-    IMU CSV       t,gx,gy,gz,ax,ay,az
-    features CSV  t,frame_id,landmark_id,ux,uy,vx,vy[,depth,depth_sigma]
-    clusters CSV  t,frame_id,cluster_id,x,y,z
+The sensor streams are CSV tables: a header line naming the columns, then
+one CRLF-terminated row per IMU sample, feature or LiDAR point, with `%.9f`
+stamps, integer ids and `%.12e` values. A feature without LiDAR depth
+leaves `depth` and `depth_sigma` blank; they read as NaN. The readers split
+a table into frames by frame id, in order of each id's first row, with that
+row's stamp, and keep each frame's rows in file order:
+
+    imu.csv       t,gx,gy,gz,ax,ay,az -> [ImuSample]
+    features.csv  t,frame_id,landmark_id,ux,uy,vx,vy,depth,depth_sigma
+                  -> [(stamp, frame_id, rows (n, 7): landmark_id..depth_sigma)]
+    clusters.csv  t,frame_id,cluster_id,x,y,z
+                  -> [(stamp, frame_id, cluster_ids (n,), points (n, 3))]
     TUM           t px py pz qx qy qz qw   (fixed point, 9 decimals)
     config        flat key=value lines, '#' comments
 """
 
 from __future__ import annotations
 
-import csv
+import warnings
 
 import numpy as np
 
 from .geometry import Pose, quat_normalize
 from .imu import ImuSample
 
+_IMU_FMT = "%.9f,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\r\n"
+_FEATURES_FMT = "%.9f,%d,%d,%.12e,%.12e,%.12e,%.12e,%s\r\n"
+_CLUSTERS_FMT = "%.9f,%d,%d,%.12e,%.12e,%.12e\r\n"
+
+
+def _write_table(path, header, fmt, rows):
+    with open(path, "w", newline="") as f:
+        f.write(header + "\r\n")
+        f.writelines(fmt % row for row in rows)
+
+
+def _read_table(path, ncols, converters=None):
+    """The rows of a stream as an (n, ncols) float array."""
+    with warnings.catch_warnings():  # a header-only stream has no rows
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                          usecols=range(ncols), converters=converters)
+
+
+def group_rows(keys):
+    """[(key, row indices)] for each distinct key, keys in order of first
+    appearance and each key's rows in order."""
+    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rows = np.split(np.argsort(inverse, kind="stable"),
+                    np.cumsum(np.bincount(inverse))[:-1])
+    return [(uniq[i], rows[i]) for i in np.argsort(first)]
+
 
 def write_imu_csv(path, samples):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "gx", "gy", "gz", "ax", "ay", "az"])
-        for s in samples:
-            w.writerow([f"{s.timestamp:.9f}"]
-                       + [f"{x:.12e}" for x in s.angular_rate]
-                       + [f"{x:.12e}" for x in s.specific_force])
+    _write_table(path, "t,gx,gy,gz,ax,ay,az", _IMU_FMT,
+                 ((s.timestamp, *s.angular_rate, *s.specific_force) for s in samples))
 
 
 def read_imu_csv(path):
-    out = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        for row in r:
-            vals = [float(x) for x in row]
-            out.append(ImuSample(vals[0], np.array(vals[1:4]), np.array(vals[4:7])))
-    return out
+    t = _read_table(path, 7)
+    return [ImuSample(s, g, a) for s, g, a in zip(t[:, 0].tolist(), t[:, 1:4], t[:, 4:7])]
 
 
 def write_features_csv(path, frames):
     """frames: list of (stamp, frame_id, rows); rows are
     (landmark_id, ux, uy, vx, vy, depth_or_None)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "frame_id", "landmark_id", "ux", "uy", "vx", "vy",
-                    "depth", "depth_sigma"])
-        for stamp, frame_id, rows in frames:
-            for lm, ux, uy, vx, vy, depth in rows:
-                d = ["", ""] if depth is None else [f"{depth[0]:.12e}", f"{depth[1]:.12e}"]
-                w.writerow([f"{stamp:.9f}", frame_id, lm,
-                            f"{ux:.12e}", f"{uy:.12e}",
-                            f"{vx:.12e}", f"{vy:.12e}"] + d)
+    _write_table(
+        path, "t,frame_id,landmark_id,ux,uy,vx,vy,depth,depth_sigma", _FEATURES_FMT,
+        ((stamp, frame_id, lm, ux, uy, vx, vy, "," if depth is None else "%.12e,%.12e" % depth)
+         for stamp, frame_id, rows in frames for lm, ux, uy, vx, vy, depth in rows))
+
+
+def _depth_field(text):
+    return float(text) if text else np.nan
 
 
 def read_features_csv(path):
-    """Returns list of (stamp, frame_id, rows) in frame order."""
-    frames: dict = {}
-    order = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        for row in r:
-            stamp, frame_id = float(row[0]), int(row[1])
-            depth = None
-            if len(row) > 7 and row[7] != "":
-                depth = (float(row[7]), float(row[8]))
-            rec = (int(row[2]), float(row[3]), float(row[4]),
-                   float(row[5]), float(row[6]), depth)
-            if frame_id not in frames:
-                frames[frame_id] = (stamp, [])
-                order.append(frame_id)
-            frames[frame_id][1].append(rec)
-    return [(frames[i][0], i, frames[i][1]) for i in order]
+    t = _read_table(path, 9, converters={7: _depth_field, 8: _depth_field})
+    return [(float(t[r[0], 0]), int(f), t[r, 2:]) for f, r in group_rows(t[:, 1])]
 
 
 def write_clusters_csv(path, frames):
     """frames: list of (stamp, frame_id, rows); rows are (cluster_id, xyz)."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "frame_id", "cluster_id", "x", "y", "z"])
-        for stamp, frame_id, rows in frames:
-            for cid, p in rows:
-                w.writerow([f"{stamp:.9f}", frame_id, cid]
-                           + [f"{x:.12e}" for x in p])
+    _write_table(path, "t,frame_id,cluster_id,x,y,z", _CLUSTERS_FMT,
+                 ((stamp, frame_id, cid, *p) for stamp, frame_id, rows in frames
+                  for cid, p in rows))
 
 
 def read_clusters_csv(path):
-    frames: dict = {}
-    order = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        for row in r:
-            stamp, frame_id = float(row[0]), int(row[1])
-            rec = (int(row[2]), np.array([float(row[3]), float(row[4]), float(row[5])]))
-            if frame_id not in frames:
-                frames[frame_id] = (stamp, [])
-                order.append(frame_id)
-            frames[frame_id][1].append(rec)
-    return [(frames[i][0], i, frames[i][1]) for i in order]
+    t = _read_table(path, 6)
+    return [(float(t[r[0], 0]), int(f), t[r, 2].astype(int), np.ascontiguousarray(t[r, 3:]))
+            for f, r in group_rows(t[:, 1])]
 
 
 def write_tum(path, records):

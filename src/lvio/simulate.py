@@ -276,11 +276,10 @@ class SensorConfig:
 
 
 def synth_imu(spec: TrajectorySpec, cfg: SensorConfig, rng=None):
-    """IMU stream on the IMU clock: true rates/specific force + bias + noise."""
+    """IMU stream on the IMU clock: true rates/specific force + bias, plus
+    noise when an rng is given."""
     dt = 1.0 / cfg.imu_rate
     n = int(round(spec.duration / dt)) + 1
-    sg = cfg.gyro_noise * math.sqrt(cfg.imu_rate)
-    sa = cfg.accel_noise * math.sqrt(cfg.imu_rate)
     out = []
     for k in range(n):
         t = k * dt
@@ -288,10 +287,21 @@ def synth_imu(spec: TrajectorySpec, cfg: SensorConfig, rng=None):
         R = s["pose"].rotation_matrix()
         gyro = s["angular_rate"] + cfg.gyro_bias
         accel = R.T @ (s["acceleration"] - GRAVITY_W) + cfg.accel_bias
-        if rng is not None and (sg > 0 or sa > 0):
-            gyro = gyro + rng.normal(scale=sg, size=3) if sg > 0 else gyro
-            accel = accel + rng.normal(scale=sa, size=3) if sa > 0 else accel
         out.append(ImuSample(t, gyro, accel))
+    return _add_imu_noise(out, cfg, rng)
+
+
+def _add_imu_noise(samples, cfg: SensorConfig, rng):
+    """White noise on an IMU stream, drawn per sample: gyro, then accel."""
+    sg = cfg.gyro_noise * math.sqrt(cfg.imu_rate)
+    sa = cfg.accel_noise * math.sqrt(cfg.imu_rate)
+    if rng is None or not (sg > 0 or sa > 0):
+        return samples
+    out = []
+    for s in samples:
+        gyro = s.angular_rate + rng.normal(scale=sg, size=3) if sg > 0 else s.angular_rate
+        accel = s.specific_force + rng.normal(scale=sa, size=3) if sa > 0 else s.specific_force
+        out.append(ImuSample(s.timestamp, gyro, accel))
     return out
 
 
@@ -306,7 +316,7 @@ class DiscreteTruth:
     def __init__(self, spec: TrajectorySpec, cfg: SensorConfig):
         self.spec = spec
         self.cfg = cfg
-        self.samples = synth_imu(spec, cfg, rng=None)  # bias in, noise out
+        self.samples = synth_imu(spec, cfg)  # bias in, noise out
         s0 = sample_trajectory(spec, 0.0)
         state = SimpleNamespace(timestamp=0.0, p=s0["pose"].t, q=s0["pose"].q,
                                 v=s0["velocity"], bg=cfg.gyro_bias,
@@ -336,9 +346,10 @@ def _camera_pose(truth: DiscreteTruth, cfg, t_world):
     return truth.pose_at(t_world).compose(cfg.cam_ext.pose())
 
 
-def _project(cam: Pose, X):
-    x = cam.rotation_matrix().T @ (X - cam.t)
-    return x
+def _projector(cam: Pose):
+    """World point -> camera coordinates, with the rotation built once."""
+    Rt, t = cam.rotation_matrix().T, cam.t
+    return lambda X: Rt @ (X - t)
 
 
 def synth_camera(spec: TrajectorySpec, world: WorldModel, cfg: SensorConfig,
@@ -363,20 +374,20 @@ def synth_camera(spec: TrajectorySpec, world: WorldModel, cfg: SensorConfig,
         t_w = stamp + cfg.dt_bc(stamp)
         if t_w < 0 or t_w > spec.duration:
             continue
-        cam = _camera_pose(truth, cfg, t_w)
-        cam_m = _camera_pose(truth, cfg, max(t_w - vel_eps, 0.0))
-        cam_p = _camera_pose(truth, cfg, min(t_w + vel_eps, spec.duration))
+        project = _projector(_camera_pose(truth, cfg, t_w))
+        project_m = _projector(_camera_pose(truth, cfg, max(t_w - vel_eps, 0.0)))
+        project_p = _projector(_camera_pose(truth, cfg, min(t_w + vel_eps, spec.duration)))
         denom = (min(t_w + vel_eps, spec.duration) - max(t_w - vel_eps, 0.0))
         rows = []
         for lm_id, X in enumerate(world.landmarks):
-            x = _project(cam, X)
+            x = project(X)
             if x[2] < 0.5:
                 continue
             u = x[:2] / x[2]
             if max(abs(u[0]), abs(u[1])) > tan_half:
                 continue
-            um = _project(cam_m, X)
-            up = _project(cam_p, X)
+            um = project_m(X)
+            up = project_p(X)
             if um[2] < 0.1 or up[2] < 0.1:
                 continue
             v_u = ((up[:2] / up[2]) - (um[:2] / um[2])) / denom
@@ -506,7 +517,7 @@ def simulate_scenario(cfg: dict, out_dir):
 
     truth = DiscreteTruth(spec, sensors)
     noise_rng = np.random.default_rng(seed + 1)
-    imu = synth_imu(spec, sensors, noise_rng)
+    imu = _add_imu_noise(truth.samples, sensors, noise_rng)
     cam_frames = synth_camera(spec, world, sensors, noise_rng, truth=truth)
     lid_frames = synth_lidar(spec, world, sensors, noise_rng, truth=truth)
 

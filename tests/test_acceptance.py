@@ -162,7 +162,7 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
 def _lidar_jacobian_errors(rng, n_points):
     worst_fixed, worst_refit = 0.0, 0.0
     for _ in range(n_points):
-        frames, pts = {}, []
+        frames, pts = {}, {}
         dthat = rng.normal() * 0.002
         for k in range(3):
             body = Pose(np.array([0.4 * k, 0.2 * k, 1.5]),
@@ -173,8 +173,8 @@ def _lidar_jacobian_errors(rng, n_points):
             for _ in range(3):
                 pw = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2),
                                rng.normal() * 0.02])
-                pts.append((k, R.T @ (pw - body.t)))
-        cluster = pa.PlaneCluster(0, pts)
+                pts.setdefault(k, []).append(R.T @ (pw - body.t))
+        cluster = pa.PlaneCluster(0, {k: np.array(p) for k, p in pts.items()})
         ext_pose = rand_pose(rng, 0.1)
         ext = LidarImuExtrinsics(ext_pose.t, ext_pose.q)
         dt_br = rng.normal() * 0.004
@@ -183,11 +183,11 @@ def _lidar_jacobian_errors(rng, n_points):
         # the plane the analytic jacobian treats as fixed
         Rrb = ext.pose().rotation_matrix()
         world = []
-        for kf, p_r in cluster.points:
+        for kf, pts_r in cluster.points.items():
             ctx = frames[kf]
             c = compensate_lidar_pose(ctx.pose, dt_br - dthat, ctx.velocity,
                                       ctx.angular_rate)
-            world.append(c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t)
+            world += [c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t for p_r in pts_r]
         plane_lin = pa.fit_plane(np.asarray(world))
 
         for k in frames:

@@ -228,7 +228,7 @@ def full_run(sim_dir):
 
 
 def test_pipeline_produces_all_keyframes(full_run, sim_dir):
-    clusters = {round(t, 6) for t, _, _ in read_clusters_csv(sim_dir / "clusters.csv")}
+    clusters = {round(t, 6) for t, *_ in read_clusters_csv(sim_dir / "clusters.csv")}
     traj = full_run.trajectory()
     assert len(clusters) - 1 <= len(traj) <= len(clusters)
     stamps = [o.timestamp for o in traj]

@@ -332,7 +332,7 @@ def test_lidar_depth_jacobians_match_fd(rng):
 
 
 def make_cluster_frames(rng, n_frames=3, noise=0.0, plane_z=0.0):
-    frames, pts = {}, []
+    frames, pts = {}, {}
     for k in range(n_frames):
         body = Pose(
             np.array([0.4 * k, 0.2 * k, 1.5]),
@@ -343,8 +343,8 @@ def make_cluster_frames(rng, n_frames=3, noise=0.0, plane_z=0.0):
         for _ in range(3):
             pw = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), plane_z])
             pw[2] += rng.normal() * noise
-            pts.append((k, R.T @ (pw - body.t)))
-    return PlaneCluster(0, pts), frames
+            pts.setdefault(k, []).append(R.T @ (pw - body.t))
+    return PlaneCluster(0, {k: np.array(p) for k, p in pts.items()}), frames
 
 
 def test_lidar_pa_zero_for_coplanar(rng):
@@ -357,8 +357,8 @@ def test_lidar_pa_zero_for_coplanar(rng):
 def test_lidar_pa_alternating_points():
     frames = {0: LidarFrameContext(Pose.identity(), np.zeros(3), np.zeros(3)),
               1: LidarFrameContext(Pose.identity(), np.zeros(3), np.zeros(3))}
-    pts = [(0, np.array([0.0, 0, 0.1])), (0, np.array([1.0, 0, -0.1])),
-           (1, np.array([0.0, 1, 0.1])), (1, np.array([1.0, 1, -0.1]))]
+    pts = {0: np.array([[0.0, 0, 0.1], [1.0, 0, -0.1]]),
+           1: np.array([[0.0, 1, 0.1], [1.0, 1, -0.1]])}
     cluster = PlaneCluster(0, pts)
     plane = PlaneModel(np.array([0.0, 0, 1.0]), 0.0)
     r, _ = lidar_pa_residual(cluster, frames, IDENT_LEXT, plane=plane)
@@ -402,9 +402,8 @@ def test_lidar_residuals_share_one_compensated_pose(rng):
             np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
         world = rng.normal(size=(8, 3)) * 3.0
-        kfs = [0] * 4 + [1] * 4
-        cluster = PlaneCluster(0, [(k, lidar_poses[k].inverse().transform(x))
-                                   for k, x in zip(kfs, world)])
+        cluster = PlaneCluster(0, {k: lidar_poses[k].inverse().transform(world[4 * k:4 * k + 4])
+                                   for k in range(2)})
         # against a fixed plane the residual is the mean squared point-to-plane
         # distance of the projected points; over random planes that pins down
         # where the points land
@@ -431,7 +430,7 @@ def test_adaptive_covariance_floor(rng):
     cluster, frames = make_cluster_frames(rng, noise=0.0)
     var = lidar_pa_residual(cluster, frames, IDENT_LEXT)[1][0, 0]
     from lvio.factors import PLANE_COV_FLOOR
-    np.testing.assert_allclose(var, PLANE_COV_FLOOR**2 / len(cluster.points))
+    np.testing.assert_allclose(var, PLANE_COV_FLOOR**2 / cluster.n_points)
 
 
 def test_lidar_pa_jacobians_match_fd(rng):
@@ -451,11 +450,11 @@ def test_lidar_pa_jacobians_match_fd(rng):
         # plane fixed at linearization: tolerance 1e-4; full re-fit FD: 1e-2
         world = []
         Rrb = ext.pose().rotation_matrix()
-        for kf, p_r in cluster.points:
+        for kf, pts_r in cluster.points.items():
             ctx = frames[kf]
             c = compensate_lidar_pose(ctx.pose, dt_br - dthat_br, ctx.velocity,
                                       ctx.angular_rate)
-            world.append(c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t)
+            world += [c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t for p_r in pts_r]
         plane_lin = _fit(np.asarray(world))
 
         for k in frames:
