@@ -13,8 +13,9 @@ estimated delay and that value.
 The two time-delay compensations live here and nowhere else:
 `compensate_feature` shifts a feature observation (used by the visual and
 LiDAR-depth residuals in `factors`), and `compensate_lidar_pose` moves a
-body pose to the LiDAR sampling instant (used by the LiDAR plane residual
-in `factors` and the F2M pose residual in `f2m`).
+body pose to the LiDAR sampling instant. The latter is called once per
+keyframe per evaluation pass, by `factors.keyframe_frames`; the LiDAR plane
+and F2M pose residuals read its result from that keyframe table.
 """
 
 from __future__ import annotations

@@ -19,12 +19,6 @@ from .imu import ImuNoiseConfig
 from .simulate import simulate_scenario
 
 
-def _vec(cfg, key, default):
-    if key in cfg:
-        return np.array([float(x) for x in str(cfg[key]).split(",")])
-    return np.asarray(default, dtype=float)
-
-
 def load_run_inputs(data_dir):
     d = Path(data_dir)
     imu = io.read_imu_csv(d / "imu.csv")
@@ -61,10 +55,10 @@ def build_bundles(features, clusters, mode):
 def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | None = None):
     """Full pipeline on a simulated data directory. Returns the estimator."""
     imu, features, clusters, init, sensor = load_run_inputs(data_dir)
-    cam_ext = CameraImuExtrinsics(_vec(sensor, "cam_t", [0, 0, 0]),
-                                  _vec(sensor, "cam_q", [1, 0, 0, 0]))
-    lid_ext = LidarImuExtrinsics(_vec(sensor, "lid_t", [0, 0, 0]),
-                                 _vec(sensor, "lid_q", [1, 0, 0, 0]),
+    cam_ext = CameraImuExtrinsics(io.read_vector(sensor, "cam_t", [0, 0, 0]),
+                                  io.read_vector(sensor, "cam_q", [1, 0, 0, 0]))
+    lid_ext = LidarImuExtrinsics(io.read_vector(sensor, "lid_t", [0, 0, 0]),
+                                 io.read_vector(sensor, "lid_q", [1, 0, 0, 0]),
                                  dt_br=float(sensor.get("dt_br", 0.0)))
     if config is None:
         config = EstimatorConfig(
@@ -78,11 +72,11 @@ def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | No
     else:
         config.mode = mode
 
-    p = _vec(init, "p", [0, 0, 0])
-    q = quat_normalize(_vec(init, "q", [1, 0, 0, 0]))
-    v = _vec(init, "v", [0, 0, 0])
-    bg = _vec(init, "gyro_bias", [0, 0, 0])
-    ba = _vec(init, "accel_bias", [0, 0, 0])
+    p = io.read_vector(init, "p", [0, 0, 0])
+    q = quat_normalize(io.read_vector(init, "q", [1, 0, 0, 0]))
+    v = io.read_vector(init, "v", [0, 0, 0])
+    bg = io.read_vector(init, "gyro_bias", [0, 0, 0])
+    ba = io.read_vector(init, "accel_bias", [0, 0, 0])
     if seed is not None:
         rng = np.random.default_rng(seed)
         p = p + rng.normal(scale=0.01, size=3)
@@ -179,8 +173,8 @@ def cmd_colorize(args):
     pts = io.read_ply(args.map)
     img = io.read_ppm(args.image)
     cfg = io.read_config(args.config)
-    pose = Pose(_vec(cfg, "cam_p", [0, 0, 0]),
-                quat_normalize(_vec(cfg, "cam_q", [1, 0, 0, 0])))
+    pose = Pose(io.read_vector(cfg, "cam_p", [0, 0, 0]),
+                quat_normalize(io.read_vector(cfg, "cam_q", [1, 0, 0, 0])))
     colors, valid = evaluate.colorize_points(
         pts, img, pose, float(cfg.get("focal", 500.0)),
         cfg.get("cx"), cfg.get("cy"))
@@ -194,8 +188,8 @@ def cmd_bench_f2m(args):
     clusters = io.read_clusters_csv(d / "clusters.csv")
     truth = io.read_tum(d / "gt.tum")
     sensor = io.read_config(d / "sensor.cfg")
-    lid_ext = LidarImuExtrinsics(_vec(sensor, "lid_t", [0, 0, 0]),
-                                 _vec(sensor, "lid_q", [1, 0, 0, 0]))
+    lid_ext = LidarImuExtrinsics(io.read_vector(sensor, "lid_t", [0, 0, 0]),
+                                 io.read_vector(sensor, "lid_q", [1, 0, 0, 0]))
     tt = np.array([t for t, _ in truth])
 
     def pose_at(t):

@@ -18,10 +18,13 @@ unless the "marg_f2m" ablation keeps it.
 Each Factor wraps one pure residual function and whitens its output with
 noise the factor holds itself: the pixel sigma for the camera factors, a
 Cholesky factor of the preintegration or F2M covariance built once, and
-the variance that the LiDAR plane and time-delay residuals return. The
-residual functions get the window's single LiDAR preprocessing delay,
-`WindowState.dthat_br`, as a scalar. Covariances of the solution are read
-from an information matrix by `covariance_blocks`.
+the variance that the LiDAR plane and time-delay residuals return. Every
+cost or linearize pass builds one keyframe table, `WindowState.frames()`:
+each keyframe's body, camera and LiDAR-instant frames, derived once by
+`factors.keyframe_frames` from its state, the window's extrinsics and its
+single LiDAR preprocessing delay `WindowState.dthat_br`. Every factor of
+the pass reads that table. Covariances of the solution are read from an
+information matrix by `covariance_blocks`.
 """
 
 from __future__ import annotations
@@ -152,6 +155,12 @@ class WindowState:
     def copy(self) -> "WindowState":
         return copy.deepcopy(self)
 
+    def frames(self) -> dict:
+        """keyframe_id -> factors.KeyframeFrames at the current states: the
+        table every factor of one evaluation pass reads."""
+        return {k: pa.keyframe_frames(s, self.cam_ext, self.lid_ext, self.dthat_br)
+                for k, s in self.keyframes.items()}
+
     # parameter-block access -------------------------------------------------
 
     def _owner(self, key):
@@ -188,18 +197,6 @@ def boxminus(name: str, value, reference) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _kf_pose(window, k, cache):
-    """Keyframe Pose, memoized per evaluation pass when a cache is given."""
-    if cache is None:
-        return window.keyframes[k].pose()
-    key = ("pose", k)
-    pose = cache.get(key)
-    if pose is None:
-        pose = window.keyframes[k].pose()
-        cache[key] = pose
-    return pose
-
-
 class Factor:
     kind = "generic"
     robust = False
@@ -207,9 +204,9 @@ class Factor:
     def keys(self):
         raise NotImplementedError
 
-    def evaluate(self, window: WindowState, want_jacobian: bool = False,
-                 cache: dict | None = None):
-        """Whitened residual (and jacobian blocks keyed like the window)."""
+    def evaluate(self, window: WindowState, frames: dict, want_jacobian: bool = False):
+        """Whitened residual (and jacobian blocks keyed like the window);
+        frames is the pass's `WindowState.frames()` table."""
         raise NotImplementedError
 
 
@@ -227,7 +224,7 @@ class ImuFactor(Factor):
             out += [("p", k), ("q", k), ("v", k), ("bg", k), ("ba", k)]
         return out
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
+    def evaluate(self, window, frames, want_jacobian=False):
         r, Jn = preintegration_residual(window.keyframes[self.ki], window.keyframes[self.kj],
                                         self.pre, want_jacobian)
         rw = solve_triangular(self._L, r, lower=True)
@@ -250,7 +247,7 @@ class TimeDelayFactor(Factor):
     def keys(self):
         return [("dt", self.ki), ("dt", self.kj)]
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
+    def evaluate(self, window, frames, want_jacobian=False):
         r, var = time_delay_residual(window.keyframes[self.ki].dt_bc,
                                      window.keyframes[self.kj].dt_bc,
                                      self.interval)
@@ -266,27 +263,21 @@ class _CameraFactor(Factor):
 
     def __init__(self, track: pa.LandmarkTrack, observer: int, sigma_u: float):
         self.track, self.observer, self.sigma_u = track, observer, sigma_u
-        self._frames = sorted({track.anchor_zeta, track.anchor_eta, observer})
+        self._ids = sorted({track.anchor_zeta, track.anchor_eta, observer})
 
     def keys(self):
         out = []
-        for k in self._frames:
+        for k in self._ids:
             out += [("p", k), ("q", k), ("dt", k)]
         return out + [("cp", -1), ("cq", -1)]
-
-    def _dicts(self, window, cache=None):
-        poses = {k: _kf_pose(window, k, cache) for k in self._frames}
-        dt_bc = {k: window.keyframes[k].dt_bc for k in self._frames}
-        return poses, dt_bc
 
 
 class VisualFactor(_CameraFactor):
     kind = "visual"
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
-        poses, dt_bc = self._dicts(window, cache)
-        r, J = pa.visual_pa_residual(self.track, self.observer, poses, window.cam_ext,
-                                     dt_bc, window.dthat_br, want_jacobian)
+    def evaluate(self, window, frames, want_jacobian=False):
+        r, J = pa.visual_pa_residual(self.track, self.observer, frames, window.cam_ext,
+                                     want_jacobian)
         s = 1.0 / self.sigma_u  # cov = sigma_u^2 I
         if not want_jacobian:
             return s * r, None
@@ -296,10 +287,9 @@ class VisualFactor(_CameraFactor):
 class DepthFactor(_CameraFactor):
     kind = "depth"
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
-        poses, dt_bc = self._dicts(window, cache)
-        r, J = pa.lidar_depth_pa_residual(self.track, self.observer, poses, window.cam_ext,
-                                          dt_bc, window.dthat_br, want_jacobian)
+    def evaluate(self, window, frames, want_jacobian=False):
+        r, J = pa.lidar_depth_pa_residual(self.track, self.observer, frames,
+                                          window.cam_ext, want_jacobian)
         # cov = diag(sigma_u^2, sigma_u^2, 1): the depth row is already whitened
         w = np.array([1.0 / self.sigma_u, 1.0 / self.sigma_u, 1.0])
         if not want_jacobian:
@@ -313,23 +303,16 @@ class LidarPaFactor(Factor):
 
     def __init__(self, cluster: pa.PlaneCluster):
         self.cluster = cluster
-        self._frames = sorted(cluster.points)
+        self._ids = sorted(cluster.points)
 
     def keys(self):
         out = []
-        for k in self._frames:
+        for k in self._ids:
             out += [("p", k), ("q", k), ("v", k)]
         return out + [("lp", -1), ("lq", -1), ("ldt", -1)]
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
-        frames = {
-            k: pa.LidarFrameContext(_kf_pose(window, k, cache), window.keyframes[k].v,
-                                    window.keyframes[k].angular_rate)
-            for k in self._frames
-        }
-        out = pa.lidar_pa_residual(self.cluster, frames, window.lid_ext,
-                                   window.lid_ext.dt_br, window.dthat_br, want_jacobian,
-                                   cache=cache)
+    def evaluate(self, window, frames, want_jacobian=False):
+        out = pa.lidar_pa_residual(self.cluster, frames, window.lid_ext, want_jacobian)
         s = 1.0 / np.sqrt(out[1][0, 0])  # scalar residual
         if not want_jacobian:
             return s * out[0], None
@@ -348,11 +331,9 @@ class F2mFactor(Factor):
         k = self.meas.keyframe_id
         return [("p", k), ("q", k), ("v", k), ("lp", -1), ("lq", -1), ("ldt", -1)]
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
-        kf = window.keyframes[self.meas.keyframe_id]
-        r, J = f2m_pose_residual(_kf_pose(window, self.meas.keyframe_id, cache),
-                                 window.lid_ext, self.meas, kf.v, kf.angular_rate,
-                                 window.lid_ext.dt_br, window.dthat_br, want_jacobian)
+    def evaluate(self, window, frames, want_jacobian=False):
+        r, J = f2m_pose_residual(frames[self.meas.keyframe_id], window.lid_ext, self.meas,
+                                 want_jacobian)
         rw = solve_triangular(self._L, r, lower=True)
         if not want_jacobian:
             return rw, None
@@ -373,7 +354,7 @@ class GaussianPriorFactor(Factor):
     def keys(self):
         return [self.key]
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
+    def evaluate(self, window, frames, want_jacobian=False):
         d = boxminus(self.key[0], window.get_block(self.key), self.value)
         rw = self._w * d
         if not want_jacobian:
@@ -390,7 +371,7 @@ class MarginalPriorFactor(Factor):
     def keys(self):
         return list(self.info.keys)
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
+    def evaluate(self, window, frames, want_jacobian=False):
         dx = np.concatenate([
             boxminus(k[0], window.get_block(k), self.info.lin[k]) for k in self.info.keys
         ]) if self.info.keys else np.zeros(0)
@@ -446,9 +427,9 @@ class AssembledProblem:
 
     def cost(self, window: WindowState) -> float:
         total = 0.0
-        cache: dict = {}
+        frames = window.frames()
         for f in self.factors:
-            r, _ = f.evaluate(window, cache=cache)
+            r, _ = f.evaluate(window, frames)
             n = float(np.linalg.norm(r))
             total += huber_cost(n, HUBER_DELTA) if f.robust else n * n
         return total
@@ -458,9 +439,9 @@ class AssembledProblem:
         H = np.zeros((self.dim, self.dim))
         g = np.zeros(self.dim)
         cost = 0.0
-        cache: dict = {}
+        frames = window.frames()
         for f in self.factors:
-            r, J = f.evaluate(window, want_jacobian=True, cache=cache)
+            r, J = f.evaluate(window, frames, want_jacobian=True)
             n = float(np.linalg.norm(r))
             if f.robust:
                 cost += huber_cost(n, HUBER_DELTA)

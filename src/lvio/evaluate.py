@@ -102,19 +102,19 @@ def colorize_points(points: np.ndarray, image: np.ndarray, cam_pose: Pose,
     pc = (np.asarray(points, dtype=float) - cam_pose.t) @ R
     colors = np.zeros((len(pc), 3), dtype=np.uint8)
     valid = np.zeros(len(pc), dtype=bool)
-    for i, p in enumerate(pc):
-        if p[2] <= 1e-9:
-            continue
-        u = focal * p[0] / p[2] + cx
-        v = focal * p[1] / p[2] + cy
-        x0, y0 = int(math.floor(u)), int(math.floor(v))
-        if x0 < 0 or y0 < 0 or x0 + 1 > w - 1 or y0 + 1 > h - 1:
-            continue
-        fx, fy = u - x0, v - y0
-        c = ((1 - fx) * (1 - fy) * img[y0, x0]
-             + fx * (1 - fy) * img[y0, x0 + 1]
-             + (1 - fx) * fy * img[y0 + 1, x0]
-             + fx * fy * img[y0 + 1, x0 + 1])
-        colors[i] = np.floor(c + 0.5).astype(np.uint8)
-        valid[i] = True
+    idx = np.flatnonzero(pc[:, 2] > 1e-9)
+    p = pc[idx]
+    u = focal * p[:, 0] / p[:, 2] + cx
+    v = focal * p[:, 1] / p[:, 2] + cy
+    x0, y0 = np.floor(u), np.floor(v)
+    inside = (x0 >= 0) & (y0 >= 0) & (x0 + 1 <= w - 1) & (y0 + 1 <= h - 1)
+    idx, u, v, x0, y0 = idx[inside], u[inside], v[inside], x0[inside], y0[inside]
+    fx, fy = (u - x0)[:, None], (v - y0)[:, None]
+    xi, yi = x0.astype(np.intp), y0.astype(np.intp)
+    c = ((1 - fx) * (1 - fy) * img[yi, xi]
+         + fx * (1 - fy) * img[yi, xi + 1]
+         + (1 - fx) * fy * img[yi + 1, xi]
+         + fx * fy * img[yi + 1, xi + 1])
+    colors[idx] = np.floor(c + 0.5).astype(np.uint8)
+    valid[idx] = True
     return colors, valid

@@ -7,7 +7,9 @@ insertion order in one (N, 3) array, `points`, and a kd-tree over that
 array answers neighbor queries (rebuilt lazily after inserts).
 Registration estimates the LiDAR pose against the map by Gauss-Newton on
 point-to-plane distances; the resulting loosely-coupled pose (not the raw
-points) enters the sliding window through a 6-DoF pose residual. The
+points) enters the sliding window through a 6-DoF pose residual, which
+reads the keyframe's pose at the LiDAR sampling instant from the pass's
+keyframe table (`factors.keyframe_frames`) and compensates nothing itself. The
 registration settings (neighbor count, search radius, gates, iteration and
 point limits) are the module constants below.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .calibration import LidarImuExtrinsics, compensate_lidar_pose
+from .calibration import LidarImuExtrinsics
 from .geometry import (
     Pose,
     exp_map,
@@ -216,21 +218,17 @@ def estimate_f2m_pose(scan_r: np.ndarray, initial_pose: Pose, pmap: GlobalPlaneM
     return F2mPoseMeasurement(keyframe_id, pose, 0.5 * (cov + cov.T))
 
 
-def f2m_pose_residual(body_pose: Pose, ext: LidarImuExtrinsics,
-                      meas: F2mPoseMeasurement, velocity=None, angular_rate=None,
-                      dt_br: float = 0.0, dthat_br: float = 0.0,
-                      want_jacobian: bool = False):
+def f2m_pose_residual(frame, ext: LidarImuExtrinsics, meas: F2mPoseMeasurement,
+                      want_jacobian: bool):
     """6-vector F2M pose residual (translation, Log rotation) and its
     jacobian blocks: (r, None), or (r, J) with want_jacobian. The covariance
     is ``meas.covariance``.
 
-    The body pose is shifted to the LiDAR sampling instant by
-    `calibration.compensate_lidar_pose` over dt_br - dthat_br when
-    velocity/angular_rate are given.
+    frame is the measured keyframe's `factors.KeyframeFrames`; the residual
+    reads its body pose at the LiDAR sampling instant, `frame.lidar`.
     """
-    v = np.zeros(3) if velocity is None else np.asarray(velocity, float)
-    w = np.zeros(3) if angular_rate is None else np.asarray(angular_rate, float)
-    c = compensate_lidar_pose(body_pose, dt_br - dthat_br, v, w)
+    c = frame.lidar
+    v, w = frame.velocity, frame.angular_rate
 
     Rm = meas.pose.rotation_matrix()
     r_t = c.RE @ ext.p_br + c.t - meas.pose.t
@@ -292,9 +290,8 @@ def export_ply(pmap_or_points, path, colors=None):
         if colors is not None:
             f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
         f.write("end_header\n")
-        for i, p in enumerate(pts):
-            line = f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}"
-            if colors is not None:
-                c = colors[i]
-                line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
-            f.write(line + "\n")
+        if colors is None:
+            f.writelines("%.6f %.6f %.6f\n" % tuple(p) for p in pts)
+        else:
+            f.writelines("%.6f %.6f %.6f %d %d %d\n" % (*p, *c)
+                         for p, c in zip(pts, colors))

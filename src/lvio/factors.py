@@ -23,12 +23,14 @@ The visual residual follows the unit-sphere reading of the bearing
 difference: both the predicted point and the observed normalized coordinate
 are renormalized to unit vectors before subtraction.
 
-Time-delay compensation is not written here: the camera residuals shift each
-observation with `calibration.compensate_feature` by dt_bc[k] - dthat_br,
-and the LiDAR plane residual moves each keyframe pose to the LiDAR sampling
-instant over dt_br - dthat_br with `calibration.compensate_lidar_pose`, the
-same function the F2M pose residual in `f2m` uses. dthat_br is one scalar,
-the LiDAR delay every frame of the window was preprocessed with.
+Each keyframe's sensor frames are derived in one place, `keyframe_frames`,
+once per evaluation pass: the body rotation, the camera frame, the shift
+dt_bc[k] - dthat_br applied to its feature observations, and its pose moved
+over dt_br - dthat_br to the LiDAR sampling instant by
+`calibration.compensate_lidar_pose`. dthat_br is one scalar, the LiDAR
+delay every frame of the window was preprocessed with. The camera, plane
+and F2M residuals (the last in `f2m`) read these `KeyframeFrames` records
+and derive no frame themselves.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 
 from .calibration import (
     CameraImuExtrinsics,
+    CompensatedLidarPose,
     LidarImuExtrinsics,
     compensate_feature,
     compensate_lidar_pose,
@@ -141,25 +144,54 @@ class PlaneModel:
         return np.asarray(pts) @ self.normal + self.offset
 
 
+@dataclass
+class KeyframeFrames:
+    """One keyframe's sensor frames at the window state of one evaluation
+    pass: everything the camera, plane and F2M residuals read of it."""
+
+    R: np.ndarray  # body rotation matrix
+    Rc: np.ndarray  # camera rotation in the world
+    tc: np.ndarray  # camera position in the world
+    dt_feature: float  # dt_bc - dthat_br, the shift of each feature
+    velocity: np.ndarray
+    angular_rate: np.ndarray  # bias-corrected gyro near the keyframe epoch
+    lidar: CompensatedLidarPose  # the pose at the LiDAR sampling instant
+
+
+def keyframe_frames(state, cam_ext: CameraImuExtrinsics, lid_ext: LidarImuExtrinsics,
+                    dthat_br: float) -> KeyframeFrames:
+    """The frames of a keyframe state (p, q, v, dt_bc, angular_rate) under
+    the window's extrinsics, every frame preprocessed with the LiDAR delay
+    dthat_br."""
+    body = state.pose()
+    lidar = compensate_lidar_pose(body, lid_ext.dt_br - dthat_br, state.v,
+                                  state.angular_rate)
+    R = lidar.R
+    return KeyframeFrames(R, R @ quat_to_matrix(cam_ext.q_cb), body.t + R @ cam_ext.p_bc,
+                          state.dt_bc - dthat_br, state.v, state.angular_rate, lidar)
+
+
 def camera_pose_from_state(body: Pose, ext: CameraImuExtrinsics) -> Pose:
     """World camera pose from body pose and camera-IMU extrinsics."""
     return body.compose(ext.pose())
 
 
-def pose_only_depth(u_zeta, u_eta, pose_zeta: Pose, pose_eta: Pose,
-                    theta_min: float = THETA_MIN):
-    """Landmark depth in the zeta camera from the two anchor poses.
+def pose_only_depth(uz, ue, Rz, tz, Re, te):
+    """Pose-only depth of the landmark along m = Rz uz from camera zeta
+    (Rz, tz), anchored by camera eta (Re, te), and the parallax.
 
-    Returns (depth, parallax). Raises DegenerateParallaxError when the
-    parallax is below theta_min.
-    """
-    Rz = pose_zeta.rotation_matrix()
-    Re = pose_eta.rotation_matrix()
-    p_ez = Re.T @ (pose_zeta.t - pose_eta.t)
-    theta = np.linalg.norm(cross3(u_eta, Re.T @ (Rz @ u_zeta)))
-    if theta < theta_min:
-        raise DegenerateParallaxError(f"parallax {theta} below {theta_min}")
-    return float(np.linalg.norm(cross3(u_eta, p_ez)) / theta), float(theta)
+    Returns (depth, parallax, m, terms) where terms feed _depth_partials.
+    The depth is only meaningful when the parallax is at least THETA_MIN;
+    it is inf at zero parallax."""
+    p_ez = Re.T @ (tz - te)
+    a = cross3(ue, p_ez)
+    na = np.linalg.norm(a)
+    m = Rz @ uz
+    s = Re.T @ m
+    tv = cross3(ue, s)
+    nt = np.linalg.norm(tv)
+    d = na / nt if nt > 0.0 else np.inf
+    return d, nt, m, (ue, Re, p_ez, a, na, s, tv, nt)
 
 
 def select_anchors(observations: list, camera_poses: dict, zeta: int | None):
@@ -175,27 +207,19 @@ def select_anchors(observations: list, camera_poses: dict, zeta: int | None):
     if zeta is None:
         zeta = obs[0].keyframe_id
     uz = {o.keyframe_id: o.p_u for o in observations}[zeta]
+    pz = camera_poses[zeta]
+    Rz = pz.rotation_matrix()
     best, best_theta = None, -1.0
     for o in obs:
         if o.keyframe_id == zeta:
             continue
-        try:
-            _, theta = pose_only_depth(uz, o.p_u, camera_poses[zeta],
-                                       camera_poses[o.keyframe_id], theta_min=0.0)
-        except DegenerateParallaxError:
-            continue
+        pe = camera_poses[o.keyframe_id]
+        _, theta, _, _ = pose_only_depth(uz, o.p_u, Rz, pz.t, pe.rotation_matrix(), pe.t)
         if theta > best_theta:
             best, best_theta = o.keyframe_id, theta
     if best is None or best_theta < THETA_MIN:
         raise DegenerateParallaxError("no anchor pair with usable parallax")
     return zeta, best
-
-
-def _cam_frame(body: Pose, ext: CameraImuExtrinsics):
-    Rb = body.rotation_matrix()
-    Rc = Rb @ quat_to_matrix(ext.q_cb)
-    tc = body.t + Rb @ ext.p_bc
-    return Rb, Rc, tc
 
 
 def _accumulate(J, key, val):
@@ -216,23 +240,6 @@ def _chain_cam_to_blocks(J, frame_id, d_t, d_f, d_u, Rb, ext, v_u):
     _accumulate(J, ("cq", -1), d_f)
     dudt = np.array([[-v_u[0]], [-v_u[1]], [0.0]])
     _accumulate(J, ("dt", frame_id), d_u @ dudt)
-
-
-def _depth(uz, ue, Rz, Re, tz, te):
-    """Pose-only depth of the landmark along m = Rz uz from camera zeta,
-    anchored by camera eta.
-
-    Returns (d, m, terms) where terms feed _depth_partials."""
-    p_ez = Re.T @ (tz - te)
-    a = cross3(ue, p_ez)
-    na = np.linalg.norm(a)
-    m = Rz @ uz
-    s = Re.T @ m
-    tv = cross3(ue, s)
-    nt = np.linalg.norm(tv)
-    if nt < THETA_MIN:
-        raise DegenerateParallaxError(f"parallax {nt} below {THETA_MIN}")
-    return na / nt, m, (ue, Re, p_ez, a, na, s, tv, nt)
 
 
 def _depth_partials(terms, Rz, uz):
@@ -288,53 +295,50 @@ def _bearing_partials(terms, Rz, uz):
     }
 
 
-def _compensated_obs(track, frame_id, dt_bc, dthat_br):
-    o = track.observation(frame_id)
-    return compensate_feature(o.p_u, o.v_u, dt_bc.get(frame_id, 0.0) - dthat_br), o.v_u
-
-
-def _camera_setup(track, observer, body_poses, ext, dt_bc, dthat_br):
+def _camera_setup(track, observer, frames):
     """The part both camera residuals share: the compensated observation and
-    camera frame of zeta, eta and the observer j, and the pose-only depth.
+    frames of zeta, eta and the observer j, and the pose-only depth.
 
-    Returns (cams, d, m, depth terms) with cams = [(frame_id, u, v_u, Rb,
-    Rc, tc)] for zeta, eta and j, in that order."""
+    Returns (cams, d, m, depth terms) with cams = [(frame_id, u, v_u,
+    KeyframeFrames)] for zeta, eta and j, in that order."""
     z, e, j = track.anchor_zeta, track.anchor_eta, observer
     if j == z:
         raise ValueError("observer must differ from anchor zeta")
-    dt_bc = dt_bc or {}
     cams = []
     for k in (z, e, j):
-        u, v_u = _compensated_obs(track, k, dt_bc, dthat_br)
-        cams.append((k, u, v_u, *_cam_frame(body_poses[k], ext)))
-    (_, uz, _, _, Rz, tz), (_, ue, _, _, Re, te) = cams[:2]
-    return (cams, *_depth(uz, ue, Rz, Re, tz, te))
+        o = track.observation(k)
+        f = frames[k]
+        cams.append((k, compensate_feature(o.p_u, o.v_u, f.dt_feature), o.v_u, f))
+    (_, uz, _, fz), (_, ue, _, fe) = cams[:2]
+    d, theta, m, terms = pose_only_depth(uz, ue, fz.Rc, fz.tc, fe.Rc, fe.tc)
+    if theta < THETA_MIN:
+        raise DegenerateParallaxError(f"parallax {theta} below {THETA_MIN}")
+    return cams, d, m, terms
 
 
 def _chain_roles(cams, ext, role_partials):
     """Jacobian blocks from the (d_t, d_f, d_u) partials of zeta, eta and j."""
     J: dict = {}
-    for (k, _, v_u, Rb, _, _), (d_t, d_f, d_u) in zip(cams, role_partials):
-        _chain_cam_to_blocks(J, k, d_t, d_f, d_u, Rb, ext, v_u)
+    for (k, _, v_u, f), (d_t, d_f, d_u) in zip(cams, role_partials):
+        _chain_cam_to_blocks(J, k, d_t, d_f, d_u, f.R, ext, v_u)
     return J
 
 
-def visual_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
-                       ext: CameraImuExtrinsics, dt_bc: dict | None = None,
-                       dthat_br: float = 0.0, want_jacobian: bool = False):
+def visual_pa_residual(track: LandmarkTrack, observer: int, frames: dict,
+                       ext: CameraImuExtrinsics, want_jacobian: bool):
     """Visual pose-only residual of observer j against anchors (zeta, eta).
 
-    Returns (residual 2-vector, None), or (residual, jacobian blocks) with
-    want_jacobian.
+    frames: keyframe_id -> KeyframeFrames. Returns (residual 2-vector,
+    None), or (residual, jacobian blocks) with want_jacobian.
     """
-    cams, d, m, dterms = _camera_setup(track, observer, body_poses, ext, dt_bc, dthat_br)
-    (_, uz, _, _, Rz, tz), _, (_, uj, _, _, Rj, tj) = cams
-    r, terms = _bearing(d, m, uj, Rj, tz, tj)
+    cams, d, m, dterms = _camera_setup(track, observer, frames)
+    (_, uz, _, fz), _, (_, uj, _, fj) = cams
+    r, terms = _bearing(d, m, uj, fj.Rc, fz.tc, fj.tc)
     if not want_jacobian:
         return r, None
 
-    DP = _depth_partials(dterms, Rz, uz)
-    dr_dd, BP = _bearing_partials(terms, Rz, uz)
+    DP = _depth_partials(dterms, fz.Rc, uz)
+    dr_dd, BP = _bearing_partials(terms, fz.Rc, uz)
     dr_dd = dr_dd[:, None]  # (2,1)
     # per-role (translation, rotation, observation) partials, 2x3 each
     return r, _chain_roles(cams, ext, [
@@ -345,28 +349,26 @@ def visual_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
     ])
 
 
-def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, body_poses: dict,
-                            ext: CameraImuExtrinsics, dt_bc: dict | None = None,
-                            dthat_br: float = 0.0, want_jacobian: bool = False):
+def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, frames: dict,
+                            ext: CameraImuExtrinsics, want_jacobian: bool):
     """LiDAR-depth pose-only residual: the bearing residual evaluated at the
     measured depth, stacked with the whitened depth discrepancy
     (d_pose - d_meas) / sigma_d.
 
-    Returns (residual 3-vector, None), or (residual, jacobian blocks) with
-    want_jacobian."""
+    frames: keyframe_id -> KeyframeFrames. Returns (residual 3-vector,
+    None), or (residual, jacobian blocks) with want_jacobian."""
     if track.lidar_depth is None:
         raise ValueError("track has no LiDAR depth")
     d_meas, sigma_d = track.lidar_depth
-    cams, d_pose, m, dterms = _camera_setup(track, observer, body_poses, ext, dt_bc,
-                                            dthat_br)
-    (_, uz, _, _, Rz, tz), _, (_, uj, _, _, Rj, tj) = cams
-    rb, terms = _bearing(d_meas, m, uj, Rj, tz, tj)
+    cams, d_pose, m, dterms = _camera_setup(track, observer, frames)
+    (_, uz, _, fz), _, (_, uj, _, fj) = cams
+    rb, terms = _bearing(d_meas, m, uj, fj.Rc, fz.tc, fj.tc)
     r = np.array([rb[0], rb[1], (d_pose - d_meas) / sigma_d])
     if not want_jacobian:
         return r, None
 
-    DP = _depth_partials(dterms, Rz, uz)
-    _, BP = _bearing_partials(terms, Rz, uz)
+    DP = _depth_partials(dterms, fz.Rc, uz)
+    _, BP = _bearing_partials(terms, fz.Rc, uz)
 
     def stack(bearing, depth_row):
         out = np.zeros((3, bearing.shape[1]))
@@ -407,53 +409,11 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     return PlaneModel(n, float(-n @ c))
 
 
-@dataclass
-class LidarFrameContext:
-    """Per-keyframe quantities the LiDAR residuals need."""
-
-    pose: Pose
-    velocity: np.ndarray
-    angular_rate: np.ndarray  # bias-corrected gyro near the keyframe epoch
-
-
-def _cluster_by_frame(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
-                      delta_t: float, cache: dict | None = None):
-    """World-frame projection of a cluster's points, per keyframe, with each
-    keyframe pose moved delta_t = dt_br - dthat_br to the LiDAR sampling
-    instant.
-
-    Returns (groups, world, Rrb) where groups maps keyframe ->
-    (ctx, comp, pts_r (n,3), y (n,3), world (n,3)) and comp is the
-    keyframe's CompensatedLidarPose. `cache` memoizes Rrb and comp across
-    clusters evaluated at the same window state."""
-    cache = {} if cache is None else cache
-    if "Rrb" not in cache:
-        cache["Rrb"] = quat_to_matrix(ext.q_rb)
-    Rrb = cache["Rrb"]
-    groups = {}
-    world = []
-    for kf, pts_r in cluster.points.items():
-        ctx = frames[kf]
-        ck = ("lpose", kf)
-        if ck not in cache:
-            cache[ck] = compensate_lidar_pose(ctx.pose, delta_t, ctx.velocity,
-                                              ctx.angular_rate)
-        comp = cache[ck]
-        y = pts_r @ Rrb.T + ext.p_br
-        pw = y @ comp.RE.T + comp.t
-        groups[kf] = (ctx, comp, pts_r, y, pw)
-        world.append(pw)
-    return groups, np.vstack(world), Rrb
-
-
 def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
-                      dt_br: float = 0.0, dthat_br: float = 0.0,
-                      want_jacobian: bool = False, plane: PlaneModel | None = None,
-                      cache: dict | None = None):
+                      want_jacobian: bool, plane: PlaneModel | None = None):
     """Plane-thickness residual of a same-plane cluster.
 
-    frames: keyframe_id -> LidarFrameContext; every frame was preprocessed
-    with the LiDAR delay dthat_br. The plane is re-fit from the
+    frames: keyframe_id -> KeyframeFrames. The plane is re-fit from the
     currently projected world points unless an explicit plane is given;
     jacobians treat the plane as fixed at the linearization point.
 
@@ -463,7 +423,14 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
 
     Returns (residual (1,), covariance (1,1)[, jacobian blocks]).
     """
-    groups, world, Rrb = _cluster_by_frame(cluster, frames, ext, dt_br - dthat_br, cache)
+    Rrb = quat_to_matrix(ext.q_rb)
+    # per keyframe: (frames, pts_r, y body-frame, world at the LiDAR instant)
+    groups = {}
+    for kf, pts_r in cluster.points.items():
+        f = frames[kf]
+        y = pts_r @ Rrb.T + ext.p_br
+        groups[kf] = (f, pts_r, y, y @ f.lidar.RE.T + f.lidar.t)
+    world = np.vstack([g[-1] for g in groups.values()])
     if plane is None:
         plane = fit_plane(world)
     N = len(world)
@@ -480,7 +447,8 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     Jlp = np.zeros((1, 3))
     Jlq = np.zeros((1, 3))
     Jldt = 0.0
-    for kf, (ctx, c, pts_r, y, pw) in groups.items():
+    for kf, (f, pts_r, y, pw) in groups.items():
+        c = f.lidar
         eps = eps_by_kf[kf]
         wsum = 2.0 * float(np.sum(eps)) / N  # scalar weight on linear terms
         s_y = (2.0 / N) * (eps @ y)  # eps-weighted sums for skew terms
@@ -490,8 +458,8 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
         J[("p", kf)] = (wsum * n)[None, :]
         J[("q", kf)] = (-(nR @ skew(c.E @ s_y)))[None, :]
         J[("v", kf)] = (wsum * c.delta * n)[None, :]
-        Jldt += wsum * (n @ ctx.velocity) \
-            - nRE @ (skew(s_y) @ (c.Jr @ ctx.angular_rate))
+        Jldt += wsum * (n @ f.velocity) \
+            - nRE @ (skew(s_y) @ (c.Jr @ f.angular_rate))
         Jlp += (wsum * nRE)[None, :]
         Jlq += (-(nRE @ (Rrb @ skew(s_r))))[None, :]
     J[("lp", -1)] = Jlp

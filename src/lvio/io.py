@@ -13,7 +13,8 @@ row's stamp, and keep each frame's rows in file order:
     clusters.csv  t,frame_id,cluster_id,x,y,z
                   -> [(stamp, frame_id, cluster_ids (n,), points (n, 3))]
     TUM           t px py pz qx qy qz qw   (fixed point, 9 decimals)
-    config        flat key=value lines, '#' comments
+    config        flat key=value lines, '#' comments; a vector value is
+                  comma-separated floats (`read_vector`, `format_vector`)
 """
 
 from __future__ import annotations
@@ -135,10 +136,14 @@ def read_ply(path):
                 break
             if not line and n is None:
                 raise ValueError("truncated PLY header")
-        pts = []
-        for _ in range(n):
-            pts.append([float(x) for x in f.readline().split()[:3]])
-    return np.asarray(pts, dtype=float).reshape(-1, 3)
+        if n is None:
+            raise ValueError("PLY header has no vertex count")
+        if n == 0:
+            return np.zeros((0, 3))
+        pts = np.loadtxt(f, usecols=range(3), max_rows=n, ndmin=2)
+    if len(pts) != n:
+        raise ValueError(f"PLY has {len(pts)} of {n} vertices")
+    return pts
 
 
 def read_config(path):
@@ -160,6 +165,18 @@ def read_config(path):
                 except ValueError:
                     cfg[key] = val
     return cfg
+
+
+def read_vector(cfg: dict, key, default) -> np.ndarray:
+    """A comma-separated vector value of a config, or default when absent."""
+    if key in cfg:
+        return np.array([float(x) for x in str(cfg[key]).split(",")])
+    return np.asarray(default, dtype=float)
+
+
+def format_vector(values) -> str:
+    """A vector as a config value: the repr of each float, comma-separated."""
+    return ",".join(f"{float(x)!r}" for x in values)
 
 
 def write_config(path, cfg: dict):

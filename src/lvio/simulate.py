@@ -470,15 +470,10 @@ def spec_from_config(cfg: dict) -> TrajectorySpec:
 
 
 def sensor_config_from_config(cfg: dict) -> SensorConfig:
-    def vec(key, default):
-        if key in cfg:
-            return np.array([float(x) for x in str(cfg[key]).split(",")])
-        return np.asarray(default, dtype=float)
-
-    cam_ext = CameraImuExtrinsics(vec("cam_t", [0.0, 0, 0]),
-                                  vec("cam_q", [1.0, 0, 0, 0]))
-    lid_ext = LidarImuExtrinsics(vec("lid_t", [0.0, 0, 0]),
-                                 vec("lid_q", [1.0, 0, 0, 0]))
+    cam_ext = CameraImuExtrinsics(io.read_vector(cfg, "cam_t", [0.0, 0, 0]),
+                                  io.read_vector(cfg, "cam_q", [1.0, 0, 0, 0]))
+    lid_ext = LidarImuExtrinsics(io.read_vector(cfg, "lid_t", [0.0, 0, 0]),
+                                 io.read_vector(cfg, "lid_q", [1.0, 0, 0, 0]))
     return SensorConfig(
         imu_rate=float(cfg.get("imu_rate", 200.0)),
         cam_rate=float(cfg.get("cam_rate", 10.0)),
@@ -495,8 +490,8 @@ def sensor_config_from_config(cfg: dict) -> SensorConfig:
         dt_bc0=float(cfg.get("dt_bc", 0.0)),
         dt_bc_drift=float(cfg.get("dt_bc_drift", 0.0)),
         dt_br=float(cfg.get("dt_br", 0.0)),
-        gyro_bias=vec("gyro_bias", [0.0, 0, 0]),
-        accel_bias=vec("accel_bias", [0.0, 0, 0]),
+        gyro_bias=io.read_vector(cfg, "gyro_bias", [0.0, 0, 0]),
+        accel_bias=io.read_vector(cfg, "accel_bias", [0.0, 0, 0]),
         points_per_patch=int(cfg.get("points_per_patch", 6)),
         depth_sigma=float(cfg.get("depth_sigma", 0.05)),
     )
@@ -529,19 +524,19 @@ def simulate_scenario(cfg: dict, out_dir):
 
     p0, v0 = truth.poses[0][1], truth.velocities[0]
     init = {
-        "p": ",".join(f"{float(x)!r}" for x in p0.t),
-        "q": ",".join(f"{float(x)!r}" for x in p0.q),
-        "v": ",".join(f"{float(x)!r}" for x in v0),
-        "gyro_bias": ",".join(f"{float(x)!r}" for x in sensors.gyro_bias),
-        "accel_bias": ",".join(f"{float(x)!r}" for x in sensors.accel_bias),
+        "p": io.format_vector(p0.t),
+        "q": io.format_vector(p0.q),
+        "v": io.format_vector(v0),
+        "gyro_bias": io.format_vector(sensors.gyro_bias),
+        "accel_bias": io.format_vector(sensors.accel_bias),
     }
     io.write_config(out / "init.cfg", init)
 
     truth = {
-        "cam_t": ",".join(f"{float(x)!r}" for x in sensors.cam_ext.p_bc),
-        "cam_q": ",".join(f"{float(x)!r}" for x in sensors.cam_ext.q_cb),
-        "lid_t": ",".join(f"{float(x)!r}" for x in sensors.lid_ext.p_br),
-        "lid_q": ",".join(f"{float(x)!r}" for x in sensors.lid_ext.q_rb),
+        "cam_t": io.format_vector(sensors.cam_ext.p_bc),
+        "cam_q": io.format_vector(sensors.cam_ext.q_cb),
+        "lid_t": io.format_vector(sensors.lid_ext.p_br),
+        "lid_q": io.format_vector(sensors.lid_ext.q_rb),
         "dt_bc": sensors.dt_bc0,
         "dt_bc_drift": sensors.dt_bc_drift,
         "dt_br": sensors.dt_br,

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
+from lvio.estimator import KeyframeState
+from lvio.factors import keyframe_frames
 from lvio.geometry import Pose, exp_map, quat_multiply, quat_normalize
 
 
@@ -34,6 +37,27 @@ def rel_error(J_analytic, J_fd):
 
 def perturb_pose(pose, dp, dq):
     return Pose(pose.t + dp, quat_multiply(pose.q, exp_map(dq)))
+
+
+def keyframe_table(poses, cam_ext, lid_ext, dthat_br=0.0, v=None, w=None, dt_bc=None):
+    """keyframe_id -> KeyframeFrames of the given body poses, built by the
+    estimator's builder. v, w and dt_bc map keyframe ids to velocity,
+    angular rate and camera delay (zero where absent)."""
+    v, w, dt_bc = v or {}, w or {}, dt_bc or {}
+    return {k: keyframe_frames(KeyframeState(0.0, pose.t, pose.q, v.get(k, np.zeros(3)),
+                                             dt_bc=dt_bc.get(k, 0.0),
+                                             angular_rate=w.get(k, np.zeros(3))),
+                               cam_ext, lid_ext, dthat_br)
+            for k, pose in poses.items()}
+
+
+def lidar_frame(body, ext, dt_br=0.0, dthat_br=0.0, v=None, w=None):
+    """KeyframeFrames of one body pose with the LiDAR extrinsics of ext at
+    LiDAR delay dt_br (identity camera extrinsics)."""
+    lid = LidarImuExtrinsics(ext.p_br, ext.q_rb, dt_br)
+    cam = CameraImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
+    return keyframe_table({0: body}, cam, lid, dthat_br,
+                          v=None if v is None else {0: v}, w=None if w is None else {0: w})[0]
 
 
 @pytest.fixture

@@ -38,7 +38,15 @@ from lvio.geometry import Pose, exp_map, log_map, quat_multiply
 from lvio.imu import ImuNoiseConfig, ImuSample, integrate, preintegration_residual
 from lvio.simulate import simulate_scenario
 
-from conftest import fd_jacobian, perturb_pose, rand_pose, rand_quat, rel_error
+from conftest import (
+    fd_jacobian,
+    keyframe_table,
+    lidar_frame,
+    perturb_pose,
+    rand_pose,
+    rand_quat,
+    rel_error,
+)
 
 IDENT_CAM = CameraImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 IDENT_LID = LidarImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
@@ -127,14 +135,16 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
     while done < n_points:
         try:
             track, poses, ext, dt_bc, dthat = _visual_case(rng, with_depth)
-            r, J = fn(track, 1, poses, ext, dt_bc, dthat, want_jacobian=True)
+            r, J = fn(track, 1, keyframe_table(poses, ext, IDENT_LID, dthat, dt_bc=dt_bc),
+                      ext, True)
         except (pa.CheiralityError, pa.DegenerateParallaxError):
             continue
         for k in poses:
             def f_pose(d, k=k):
                 moved = dict(poses)
                 moved[k] = perturb_pose(poses[k], d[0:3], d[3:6])
-                return fn(track, 1, moved, ext, dt_bc, dthat)[0]
+                frames = keyframe_table(moved, ext, IDENT_LID, dthat, dt_bc=dt_bc)
+                return fn(track, 1, frames, ext, False)[0]
 
             Ja = np.hstack([J.get(("p", k), np.zeros((len(r), 3))),
                             J.get(("q", k), np.zeros((len(r), 3)))])
@@ -143,7 +153,8 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
             def f_dt(d, k=k):
                 moved = dict(dt_bc)
                 moved[k] = dt_bc[k] + d[0]
-                return fn(track, 1, poses, ext, moved, dthat)[0]
+                frames = keyframe_table(poses, ext, IDENT_LID, dthat, dt_bc=moved)
+                return fn(track, 1, frames, ext, False)[0]
 
             worst = max(worst, rel_error(J.get(("dt", k), np.zeros((len(r), 1))),
                                          fd_jacobian(f_dt, 1)))
@@ -151,7 +162,8 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
         def f_ext(d):
             moved = CameraImuExtrinsics(ext.p_bc + d[0:3],
                                         quat_multiply(ext.q_cb, exp_map(d[3:6])))
-            return fn(track, 1, poses, moved, dt_bc, dthat)[0]
+            frames = keyframe_table(poses, moved, IDENT_LID, dthat, dt_bc=dt_bc)
+            return fn(track, 1, frames, moved, False)[0]
 
         worst = max(worst, rel_error(np.hstack([J[("cp", -1)], J[("cq", -1)]]),
                                      fd_jacobian(f_ext, 6)))
@@ -162,13 +174,12 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
 def _lidar_jacobian_errors(rng, n_points):
     worst_fixed, worst_refit = 0.0, 0.0
     for _ in range(n_points):
-        frames, pts = {}, {}
+        poses, v, w, pts = {}, {}, {}, {}
         dthat = rng.normal() * 0.002
         for k in range(3):
             body = Pose(np.array([0.4 * k, 0.2 * k, 1.5]),
                         exp_map(np.array([0.01 * k, -0.02 * k, 0.3 * k])))
-            frames[k] = pa.LidarFrameContext(body, rng.normal(size=3),
-                                             rng.normal(size=3) * 0.5)
+            poses[k], v[k], w[k] = body, rng.normal(size=3), rng.normal(size=3) * 0.5
             R = body.rotation_matrix()
             for _ in range(3):
                 pw = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2),
@@ -178,27 +189,27 @@ def _lidar_jacobian_errors(rng, n_points):
         ext_pose = rand_pose(rng, 0.1)
         ext = LidarImuExtrinsics(ext_pose.t, ext_pose.q)
         dt_br = rng.normal() * 0.004
-        r, cov, J = pa.lidar_pa_residual(cluster, frames, ext, dt_br, dthat,
-                                         want_jacobian=True)
+
+        def table(poses, v, ext, dt_br):
+            lid = LidarImuExtrinsics(ext.p_br, ext.q_rb, dt_br)
+            return keyframe_table(poses, IDENT_CAM, lid, dthat, v=v, w=w)
+
+        r, cov, J = pa.lidar_pa_residual(cluster, table(poses, v, ext, dt_br), ext, True)
         # the plane the analytic jacobian treats as fixed
         Rrb = ext.pose().rotation_matrix()
         world = []
         for kf, pts_r in cluster.points.items():
-            ctx = frames[kf]
-            c = compensate_lidar_pose(ctx.pose, dt_br - dthat, ctx.velocity,
-                                      ctx.angular_rate)
+            c = compensate_lidar_pose(poses[kf], dt_br - dthat, v[kf], w[kf])
             world += [c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t for p_r in pts_r]
         plane_lin = pa.fit_plane(np.asarray(world))
 
-        for k in frames:
+        for k in poses:
             def f_pose(d, k=k, refit=False):
-                moved = dict(frames)
-                c = frames[k]
-                moved[k] = pa.LidarFrameContext(
-                    perturb_pose(c.pose, d[0:3], d[3:6]),
-                    c.velocity + d[6:9], c.angular_rate)
-                return pa.lidar_pa_residual(cluster, moved, ext, dt_br, dthat,
-                                            plane=None if refit else plane_lin)[0]
+                moved, moved_v = dict(poses), dict(v)
+                moved[k] = perturb_pose(poses[k], d[0:3], d[3:6])
+                moved_v[k] = v[k] + d[6:9]
+                return pa.lidar_pa_residual(cluster, table(moved, moved_v, ext, dt_br), ext,
+                                            False, None if refit else plane_lin)[0]
 
             Ja = np.hstack([J[("p", k)], J[("q", k)], J[("v", k)]])
             worst_fixed = max(worst_fixed,
@@ -209,8 +220,8 @@ def _lidar_jacobian_errors(rng, n_points):
         def f_ext(d):
             moved = LidarImuExtrinsics(ext.p_br + d[0:3],
                                        quat_multiply(ext.q_rb, exp_map(d[3:6])))
-            return pa.lidar_pa_residual(cluster, frames, moved, dt_br + d[6], dthat,
-                                        plane=plane_lin)[0]
+            return pa.lidar_pa_residual(cluster, table(poses, v, moved, dt_br + d[6]), moved,
+                                        False, plane_lin)[0]
 
         Ja = np.hstack([J[("lp", -1)], J[("lq", -1)], J[("ldt", -1)]])
         worst_fixed = max(worst_fixed, rel_error(Ja, fd_jacobian(f_ext, 7)))
@@ -230,12 +241,13 @@ def _f2m_jacobian_errors(rng, n_points):
         w = rng.normal(size=3) * 0.5
         dt_br = rng.normal() * 0.004
         dthat = rng.normal() * 0.002
-        r, J = f2m_pose_residual(body, ext, meas, v, w, dt_br, dthat,
-                                    want_jacobian=True)
+        r, J = f2m_pose_residual(lidar_frame(body, ext, dt_br, dthat, v, w), ext, meas,
+                                 True)
 
         def f_state(d):
-            return f2m_pose_residual(perturb_pose(body, d[0:3], d[3:6]), ext,
-                                     meas, v + d[6:9], w, dt_br, dthat)[0]
+            frame = lidar_frame(perturb_pose(body, d[0:3], d[3:6]), ext, dt_br, dthat,
+                                v + d[6:9], w)
+            return f2m_pose_residual(frame, ext, meas, False)[0]
 
         Ja = np.hstack([J[("p", 3)], J[("q", 3)], J[("v", 3)]])
         worst = max(worst, rel_error(Ja, fd_jacobian(f_state, 9)))
@@ -243,7 +255,8 @@ def _f2m_jacobian_errors(rng, n_points):
         def f_ext(d):
             moved = LidarImuExtrinsics(ext.p_br + d[0:3],
                                        quat_multiply(ext.q_rb, exp_map(d[3:6])))
-            return f2m_pose_residual(body, moved, meas, v, w, dt_br + d[6], dthat)[0]
+            frame = lidar_frame(body, moved, dt_br + d[6], dthat, v, w)
+            return f2m_pose_residual(frame, moved, meas, False)[0]
 
         Ja = np.hstack([J[("lp", -1)], J[("lq", -1)], J[("ldt", -1)]])
         worst = max(worst, rel_error(Ja, fd_jacobian(f_ext, 7)))
@@ -259,12 +272,12 @@ def _timedelay_jacobian_errors(rng, n_points):
                                      np.array([1.0, 0, 0, 0]), np.zeros(3),
                                      dt_bc=rng.normal() * 0.01))
         f = TimeDelayFactor(0, 1, float(rng.uniform(0.05, 0.5)))
-        _, J = f.evaluate(win, want_jacobian=True)
+        _, J = f.evaluate(win, win.frames(), want_jacobian=True)
         for key in f.keys():
             def f_dt(d, key=key):
                 moved = win.copy()
                 moved.retract(key, d)
-                return f.evaluate(moved)[0]
+                return f.evaluate(moved, moved.frames())[0]
 
             worst = max(worst, rel_error(J[key], fd_jacobian(f_dt, 1)))
     return worst
@@ -313,26 +326,17 @@ def _raw_residual(f, win):
                                    win.keyframes[f.kj].dt_bc, f.interval)
         return np.array([r])
     if kind in ("visual", "depth"):
-        poses = {k: win.keyframes[k].pose() for k in f._frames}
-        dt_bc = {k: win.keyframes[k].dt_bc for k in f._frames}
         fn = pa.visual_pa_residual if kind == "visual" else pa.lidar_depth_pa_residual
-        return fn(f.track, f.observer, poses, win.cam_ext, dt_bc, win.dthat_br)[0]
+        return fn(f.track, f.observer, win.frames(), win.cam_ext, False)[0]
     if kind == "lidar":
-        frames = {k: pa.LidarFrameContext(win.keyframes[k].pose(),
-                                          win.keyframes[k].v,
-                                          win.keyframes[k].angular_rate)
-                  for k in f._frames}
-        return pa.lidar_pa_residual(f.cluster, frames, win.lid_ext,
-                                    win.lid_ext.dt_br, win.dthat_br)[0]
+        return pa.lidar_pa_residual(f.cluster, win.frames(), win.lid_ext, False)[0]
     if kind == "f2m":
-        kf = win.keyframes[f.meas.keyframe_id]
-        return f2m_pose_residual(kf.pose(), win.lid_ext, f.meas, kf.v,
-                                 kf.angular_rate, win.lid_ext.dt_br,
-                                 win.dthat_br)[0]
+        return f2m_pose_residual(win.frames()[f.meas.keyframe_id], win.lid_ext, f.meas,
+                                 False)[0]
     if kind == "prior":
         return boxminus(f.key[0], win.get_block(f.key), f.value)
     if kind == "marginal":
-        return f.evaluate(win)[0]
+        return f.evaluate(win, win.frames())[0]
     raise AssertionError(kind)
 
 
@@ -392,9 +396,9 @@ def test_criterion_03_depth_matches_triangulation():
         xe = pe.rotation_matrix().T @ (X - pe.t)
         if xz[2] < 0.2 or xe[2] < 0.2:
             continue
-        try:
-            d, _ = pa.pose_only_depth(xz / xz[2], xe / xe[2], pz, pe)
-        except pa.DegenerateParallaxError:
+        d, theta, _, _ = pa.pose_only_depth(xz / xz[2], xe / xe[2], pz.rotation_matrix(),
+                                            pz.t, pe.rotation_matrix(), pe.t)
+        if theta < pa.THETA_MIN:
             continue
         worst = max(worst, abs(d - _triangulate_two_view(xz / xz[2], xe / xe[2],
                                                          pz, pe)))
@@ -421,7 +425,7 @@ class _RelPosFactor(Factor):
     def keys(self):
         return [("p", self.ki), ("p", self.kj)]
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
+    def evaluate(self, window, frames, want_jacobian=False):
         r = self.s * (window.keyframes[self.kj].p - window.keyframes[self.ki].p - self.z)
         if not want_jacobian:
             return r, None

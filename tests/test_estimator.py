@@ -150,7 +150,7 @@ class RelPosFactor(Factor):
     def keys(self):
         return [("p", self.ki), ("p", self.kj)]
 
-    def evaluate(self, window, want_jacobian=False, cache=None):
+    def evaluate(self, window, frames, want_jacobian=False):
         r = self.s * (window.keyframes[self.kj].p - window.keyframes[self.ki].p - self.z)
         if not want_jacobian:
             return r, None
@@ -250,6 +250,32 @@ def test_full_run_uses_f2m_factors(full_run):
     problem = full_run.build_problem()
     assert problem.stats.get("f2m", 0) >= 1
     assert problem.stats.get("imu", 0) == len(full_run.window.keyframes) - 1
+
+
+def test_each_pass_builds_one_keyframe_table(full_run, monkeypatch):
+    """cost and linearize derive each keyframe's frames once per pass, through
+    one builder, and every factor reads them from that table: no factor
+    derives a keyframe pose from its state again."""
+    problem = full_run.build_problem()
+    assert {"visual", "lidar", "f2m"} <= set(problem.stats)
+    calls = {"build": 0, "pose": 0}
+    build, pose = pa.keyframe_frames, KeyframeState.pose
+
+    def counted_build(*args):
+        calls["build"] += 1
+        return build(*args)
+
+    def counted_pose(self):
+        calls["pose"] += 1
+        return pose(self)
+
+    monkeypatch.setattr(pa, "keyframe_frames", counted_build)
+    monkeypatch.setattr(KeyframeState, "pose", counted_pose)
+    n = len(full_run.window.keyframes)
+    for evaluation_pass in (problem.cost, problem.linearize):
+        calls.update(build=0, pose=0)
+        evaluation_pass(full_run.window)
+        assert calls == {"build": n, "pose": n}
 
 
 def test_gauge_invariance_without_f2m_or_priors(full_run):

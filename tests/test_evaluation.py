@@ -166,6 +166,58 @@ def test_colorize_rejects_behind_and_off_raster():
     assert tuple(colors[1]) == (0, 0, 0)
 
 
+def _colorize_reference(points, image, cam_pose, focal, cx=None, cy=None):
+    """colorize_points one point at a time: the per-point loop it replaced."""
+    img = np.asarray(image)
+    h, w, _ = img.shape
+    cx = (w - 1) / 2.0 if cx is None else cx
+    cy = (h - 1) / 2.0 if cy is None else cy
+    pc = (np.asarray(points, dtype=float) - cam_pose.t) @ cam_pose.rotation_matrix()
+    colors = np.zeros((len(pc), 3), dtype=np.uint8)
+    valid = np.zeros(len(pc), dtype=bool)
+    for i, p in enumerate(pc):
+        if p[2] <= 1e-9:
+            continue
+        u = focal * p[0] / p[2] + cx
+        v = focal * p[1] / p[2] + cy
+        x0, y0 = int(math.floor(u)), int(math.floor(v))
+        if x0 < 0 or y0 < 0 or x0 + 1 > w - 1 or y0 + 1 > h - 1:
+            continue
+        fx, fy = u - x0, v - y0
+        c = ((1 - fx) * (1 - fy) * img[y0, x0]
+             + fx * (1 - fy) * img[y0, x0 + 1]
+             + (1 - fx) * fy * img[y0 + 1, x0]
+             + fx * fy * img[y0 + 1, x0 + 1])
+        colors[i] = np.floor(c + 0.5).astype(np.uint8)
+        valid[i] = True
+    return colors, valid
+
+
+def test_colorize_matches_per_point_reference(rng):
+    h, w, focal = 12, 16, 10.0
+    img = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    # pixel coordinates on and just inside/outside the raster edges, where the
+    # 2x2 bilinear footprint first or last fits
+    us = np.array([0.0, 1e-9, w - 2.0, w - 2.0 + 1e-9, w - 1.0, -1e-9, 3.5])
+    vs = np.array([0.0, h - 2.0, h - 2.0 + 1e-9, h - 1.0, -1e-9, 5.25, 7.0])
+    uu, vv = np.meshgrid(us, vs)
+    z = rng.uniform(0.5, 5.0, size=uu.size)
+    edges = np.column_stack([(uu.ravel() - cx) * z / focal, (vv.ravel() - cy) * z / focal, z])
+    spread = rng.normal(size=(500, 3)) * [2.0, 2.0, 3.0]  # many behind or off the raster
+    special = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1e-9], [0.0, 0.0, -1.0]])
+    cams = [Pose.identity(), Pose(rng.normal(size=3) * 0.2, exp_map(rng.normal(size=3) * 0.1))]
+    for pts in (edges, spread, special, np.zeros((0, 3))):
+        for cam in cams:
+            colors, valid = colorize_points(pts, img, cam, focal)
+            ref_colors, ref_valid = _colorize_reference(pts, img, cam, focal)
+            np.testing.assert_array_equal(valid, ref_valid)
+            np.testing.assert_array_equal(colors, ref_colors)
+    # the edge grid reaches both sides of every raster bound
+    _, valid = colorize_points(edges, img, cams[0], focal)
+    assert 0 < valid.sum() < len(valid)
+
+
 def test_colorize_respects_camera_pose():
     img = checkerboard()
     # camera displaced along +x, looking the same way

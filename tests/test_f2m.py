@@ -17,7 +17,7 @@ from lvio.f2m import (
 )
 from lvio.geometry import Pose, compose_relative, exp_map, log_map, quat_multiply
 
-from conftest import fd_jacobian, perturb_pose, rand_pose, rel_error
+from conftest import fd_jacobian, lidar_frame, perturb_pose, rand_pose, rel_error
 
 IDENT_LEXT = LidarImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 
@@ -159,7 +159,7 @@ def test_f2m_residual_zero_at_measurement(rng):
     body = rand_pose(rng, 2.0)
     meas_pose = body.compose(ext_pose)
     meas = F2mPoseMeasurement(0, meas_pose, np.eye(6) * 1e-4)
-    r, _ = f2m_pose_residual(body, ext, meas)
+    r, _ = f2m_pose_residual(lidar_frame(body, ext), ext, meas, False)
     assert np.linalg.norm(r) < 1e-12
 
 
@@ -182,13 +182,13 @@ def test_f2m_residual_jacobians_match_fd(rng):
         w = rng.normal(size=3) * 0.5
         dt_br = rng.normal() * 0.004
         dthat = rng.normal() * 0.002
-        r, J = f2m_pose_residual(body, ext, meas, v, w, dt_br, dthat,
-                                 want_jacobian=True)
+        r, J = f2m_pose_residual(lidar_frame(body, ext, dt_br, dthat, v, w), ext, meas,
+                                 True)
 
         def f_state(d):
-            return f2m_pose_residual(
-                perturb_pose(body, d[0:3], d[3:6]), ext, meas,
-                v + d[6:9], w, dt_br, dthat)[0]
+            frame = lidar_frame(perturb_pose(body, d[0:3], d[3:6]), ext, dt_br, dthat,
+                                v + d[6:9], w)
+            return f2m_pose_residual(frame, ext, meas, False)[0]
 
         Jfd = fd_jacobian(f_state, 9)
         Ja = np.hstack([J[("p", 3)], J[("q", 3)], J[("v", 3)]])
@@ -197,7 +197,8 @@ def test_f2m_residual_jacobians_match_fd(rng):
         def f_ext(d):
             moved = LidarImuExtrinsics(ext.p_br + d[0:3],
                                        quat_multiply(ext.q_rb, exp_map(d[3:6])))
-            return f2m_pose_residual(body, moved, meas, v, w, dt_br + d[6], dthat)[0]
+            frame = lidar_frame(body, moved, dt_br + d[6], dthat, v, w)
+            return f2m_pose_residual(frame, moved, meas, False)[0]
 
         Jfd = fd_jacobian(f_ext, 7)
         Ja = np.hstack([J[("lp", -1)], J[("lq", -1)], J[("ldt", -1)]])
@@ -224,6 +225,50 @@ def test_export_ply(tmp_path, rng):
     assert text[0] == "ply"
     assert "element vertex 5" in text
     assert len(text) == 10 + 5  # header lines + points
+
+
+def _export_ply_reference(pts, path, colors=None):
+    """export_ply with one f-string per point: the writer it replaced."""
+    with open(path, "w") as f:
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"element vertex {len(pts)}\n")
+        f.write("property float x\nproperty float y\nproperty float z\n")
+        if colors is not None:
+            f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
+        f.write("end_header\n")
+        for i, p in enumerate(pts):
+            line = f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}"
+            if colors is not None:
+                c = colors[i]
+                line += f" {int(c[0])} {int(c[1])} {int(c[2])}"
+            f.write(line + "\n")
+
+
+def test_export_ply_matches_reference_and_round_trips(tmp_path, rng):
+    pts = np.vstack([rng.normal(size=(200, 3)) * 50.0,
+                     [[0.0, -0.0, 1e-7], [-5e-7, 123456.5, -1.0000005]]])
+    colors = rng.integers(0, 256, size=(len(pts), 3), dtype=np.uint8)
+    for cols in (None, colors):
+        path, ref = tmp_path / "map.ply", tmp_path / "ref.ply"
+        export_ply(pts, path, colors=cols)
+        _export_ply_reference(pts, ref, colors=cols)
+        assert path.read_bytes() == ref.read_bytes()
+        back = io.read_ply(path)
+        assert back.shape == pts.shape
+        np.testing.assert_array_equal(back, np.array([[float(f"{x:.6f}") for x in p]
+                                                      for p in pts]))
+
+
+def test_read_ply_rejects_missing_vertices(tmp_path):
+    path = tmp_path / "short.ply"
+    export_ply(np.ones((3, 3)), path)
+    text = path.read_text()
+    path.write_text(text.replace("element vertex 3", "element vertex 4"))
+    with pytest.raises(ValueError):
+        io.read_ply(path)
+    path.write_text(text.replace("element vertex 3\n", ""))
+    with pytest.raises(ValueError):
+        io.read_ply(path)
 
 
 def test_empty_map_round_trip(tmp_path):

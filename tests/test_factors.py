@@ -3,11 +3,11 @@ import pytest
 
 from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics, compensate_lidar_pose
 from lvio.factors import (
+    THETA_MIN,
     CheiralityError,
     DegenerateParallaxError,
     FeatureObservation,
     LandmarkTrack,
-    LidarFrameContext,
     PlaneCluster,
     PlaneFitError,
     PlaneModel,
@@ -21,14 +21,35 @@ from lvio.factors import (
 )
 from lvio.geometry import Pose, compose_relative, exp_map, quat_multiply
 
-from conftest import fd_jacobian, perturb_pose, rand_pose, rand_quat, rel_error
+from conftest import (
+    fd_jacobian,
+    keyframe_table,
+    perturb_pose,
+    rand_pose,
+    rand_quat,
+    rel_error,
+)
 
 IDENT_EXT = CameraImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 IDENT_LEXT = LidarImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 
 
+def cam(pose):
+    """(R, t) of a camera pose, as pose_only_depth takes it."""
+    return pose.rotation_matrix(), pose.t
+
+
 def obs(kf, x, y, v=(0.0, 0.0)):
     return FeatureObservation(kf, np.array([x, y, 1.0]), np.array(v))
+
+
+def cam_table(poses, ext=IDENT_EXT, dt_bc=None, dthat_br=0.0):
+    return keyframe_table(poses, ext, IDENT_LEXT, dthat_br, dt_bc=dt_bc)
+
+
+def lidar_table(poses, ext=IDENT_LEXT, dt_br=0.0, dthat_br=0.0, v=None, w=None):
+    lid = LidarImuExtrinsics(ext.p_br, ext.q_rb, dt_br)
+    return keyframe_table(poses, IDENT_EXT, lid, dthat_br, v=v, w=w)
 
 
 # ---------------------------------------------------------------- camera pose
@@ -64,14 +85,21 @@ def test_pose_only_depth_known_geometry():
     # camera eta translated 1 m along x, landmark 5 m ahead of zeta
     pz = Pose.identity()
     pe = Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))
-    d, theta = pose_only_depth(np.array([0, 0, 1.0]), np.array([-0.2, 0, 1.0]), pz, pe)
+    d, theta, _, _ = pose_only_depth(np.array([0, 0, 1.0]), np.array([-0.2, 0, 1.0]),
+                                     *cam(pz), *cam(pe))
     np.testing.assert_allclose(d, 5.0, atol=1e-12)
 
 
 def test_pose_only_depth_zero_baseline():
     pz = Pose.identity()
+    u = np.array([0, 0, 1.0])
+    d, theta, _, _ = pose_only_depth(u, u, *cam(pz), *cam(pz))
+    assert theta == 0.0 and d == np.inf
+    # a camera residual anchored on zero parallax refuses to evaluate
+    track = LandmarkTrack(0, [obs(0, 0.0, 0.0), obs(1, 0.0, 0.0), obs(2, 0.1, 0.0)], 0, 1)
+    poses = {0: pz, 1: pz, 2: Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))}
     with pytest.raises(DegenerateParallaxError):
-        pose_only_depth(np.array([0, 0, 1.0]), np.array([0, 0, 1.0]), pz, pz)
+        visual_pa_residual(track, 2, cam_table(poses), IDENT_EXT, False)
 
 
 def triangulate_two_view(u1, u2, pose1, pose2):
@@ -101,9 +129,8 @@ def test_pose_only_depth_matches_triangulation(rng):
             continue
         uz = xz / xz[2]
         ue = xe / xe[2]
-        try:
-            d, theta = pose_only_depth(uz, ue, pz, pe)
-        except DegenerateParallaxError:
+        d, theta, _, _ = pose_only_depth(uz, ue, *cam(pz), *cam(pe))
+        if theta < THETA_MIN:
             continue
         d_oracle = triangulate_two_view(uz, ue, pz, pe)
         np.testing.assert_allclose(d, d_oracle, atol=1e-9)
@@ -207,14 +234,14 @@ def synthetic_visual_setup(rng, n_frames=3, ext=None, depth_frame=None):
 
 def test_visual_residual_zero_at_truth(rng):
     track, poses, _ = synthetic_visual_setup(rng)
-    r, _ = visual_pa_residual(track, 1, poses, IDENT_EXT)
+    r, _ = visual_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
     assert np.linalg.norm(r) < 1e-9
 
 
 def test_visual_residual_nonzero_when_perturbed(rng):
     track, poses, _ = synthetic_visual_setup(rng)
     poses[1] = Pose(poses[1].t + np.array([0.05, 0, 0]), poses[1].q)
-    r, _ = visual_pa_residual(track, 1, poses, IDENT_EXT)
+    r, _ = visual_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
     assert np.linalg.norm(r) > 1e-5
 
 
@@ -228,7 +255,7 @@ def test_visual_residual_cheirality():
         2: Pose(np.array([0.0, 0, 100.0]), np.array([1.0, 0, 0, 0])),
     }
     with pytest.raises((CheiralityError, DegenerateParallaxError)):
-        visual_pa_residual(track, 2, poses, IDENT_EXT)
+        visual_pa_residual(track, 2, cam_table(poses), IDENT_EXT, False)
 
 
 def test_visual_residual_global_rigid_invariance(rng):
@@ -236,10 +263,10 @@ def test_visual_residual_global_rigid_invariance(rng):
     ext = CameraImuExtrinsics(ext_pose.t, ext_pose.q)
     track, poses, _ = synthetic_visual_setup(rng, ext=ext)
     poses = {k: Pose(p.t + np.array([0.02, -0.01, 0.03]) * (k + 1), p.q) for k, p in poses.items()}
-    r0, _ = visual_pa_residual(track, 1, poses, ext)
+    r0, _ = visual_pa_residual(track, 1, cam_table(poses, ext), ext, False)
     T = rand_pose(rng, 5.0)
     moved = {k: T.compose(p) for k, p in poses.items()}
-    r1, _ = visual_pa_residual(track, 1, moved, ext)
+    r1, _ = visual_pa_residual(track, 1, cam_table(moved, ext), ext, False)
     np.testing.assert_allclose(r0, r1, atol=1e-10)
 
 
@@ -257,13 +284,13 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
     dthat = rng.normal() * 0.002
     fn = lidar_depth_pa_residual if with_depth else visual_pa_residual
 
-    r, J = fn(track, observer, poses, ext, dt_bc, dthat, want_jacobian=True)
+    r, J = fn(track, observer, cam_table(poses, ext, dt_bc, dthat), ext, True)
 
     for k in poses:
         def f_pose(d, k=k):
             moved = dict(poses)
             moved[k] = perturb_pose(poses[k], d[0:3], d[3:6])
-            return fn(track, observer, moved, ext, dt_bc, dthat)[0]
+            return fn(track, observer, cam_table(moved, ext, dt_bc, dthat), ext, False)[0]
 
         Jfd = fd_jacobian(f_pose, 6)
         Ja = np.hstack([
@@ -275,7 +302,7 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
         def f_dt(d, k=k):
             moved = dict(dt_bc)
             moved[k] = dt_bc[k] + d[0]
-            return fn(track, observer, poses, ext, moved, dthat)[0]
+            return fn(track, observer, cam_table(poses, ext, moved, dthat), ext, False)[0]
 
         Jfd = fd_jacobian(f_dt, 1)
         assert rel_error(J.get(("dt", k), np.zeros((len(r), 1))), Jfd) < tol, ("dt", k)
@@ -283,7 +310,7 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
     def f_ext(d):
         moved = CameraImuExtrinsics(ext.p_bc + d[0:3],
                                     quat_multiply(ext.q_cb, exp_map(d[3:6])))
-        return fn(track, observer, poses, moved, dt_bc, dthat)[0]
+        return fn(track, observer, cam_table(poses, moved, dt_bc, dthat), moved, False)[0]
 
     Jfd = fd_jacobian(f_ext, 6)
     Ja = np.hstack([J[("cp", -1)], J[("cq", -1)]])
@@ -308,7 +335,7 @@ def test_visual_jacobians_observer_equals_eta(rng):
 
 def test_lidar_depth_residual_zero_at_truth(rng):
     track, poses, _ = synthetic_visual_setup(rng, depth_frame=0)
-    r, _ = lidar_depth_pa_residual(track, 1, poses, IDENT_EXT)
+    r, _ = lidar_depth_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
     assert np.linalg.norm(r) < 1e-9
 
 
@@ -316,7 +343,7 @@ def test_lidar_depth_residual_measures_depth_offset(rng):
     track, poses, _ = synthetic_visual_setup(rng, depth_frame=0)
     d, sigma = track.lidar_depth
     track.lidar_depth = (d + 0.1, sigma)
-    r, _ = lidar_depth_pa_residual(track, 1, poses, IDENT_EXT)
+    r, _ = lidar_depth_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
     np.testing.assert_allclose(r[2], -0.1 / sigma, atol=1e-9)
 
 
@@ -331,49 +358,45 @@ def test_lidar_depth_jacobians_match_fd(rng):
 # ---------------------------------------------------------------- lidar PA
 
 
-def make_cluster_frames(rng, n_frames=3, noise=0.0, plane_z=0.0):
-    frames, pts = {}, {}
+def make_cluster_poses(rng, n_frames=3, noise=0.0, plane_z=0.0):
+    poses, pts = {}, {}
     for k in range(n_frames):
         body = Pose(
             np.array([0.4 * k, 0.2 * k, 1.5]),
             exp_map(np.array([0.01 * k, -0.02 * k, 0.3 * k])),
         )
-        frames[k] = LidarFrameContext(body, np.zeros(3), np.zeros(3))
+        poses[k] = body
         R = body.rotation_matrix()
         for _ in range(3):
             pw = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), plane_z])
             pw[2] += rng.normal() * noise
             pts.setdefault(k, []).append(R.T @ (pw - body.t))
-    return PlaneCluster(0, {k: np.array(p) for k, p in pts.items()}), frames
+    return PlaneCluster(0, {k: np.array(p) for k, p in pts.items()}), poses
 
 
 def test_lidar_pa_zero_for_coplanar(rng):
-    cluster, frames = make_cluster_frames(rng)
-    r, cov = lidar_pa_residual(cluster, frames, IDENT_LEXT)
+    cluster, poses = make_cluster_poses(rng)
+    r, cov = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)
     assert abs(r[0]) < 1e-12
     assert cov[0, 0] > 0
 
 
 def test_lidar_pa_alternating_points():
-    frames = {0: LidarFrameContext(Pose.identity(), np.zeros(3), np.zeros(3)),
-              1: LidarFrameContext(Pose.identity(), np.zeros(3), np.zeros(3))}
+    frames = lidar_table({0: Pose.identity(), 1: Pose.identity()})
     pts = {0: np.array([[0.0, 0, 0.1], [1.0, 0, -0.1]]),
            1: np.array([[0.0, 1, 0.1], [1.0, 1, -0.1]])}
     cluster = PlaneCluster(0, pts)
     plane = PlaneModel(np.array([0.0, 0, 1.0]), 0.0)
-    r, _ = lidar_pa_residual(cluster, frames, IDENT_LEXT, plane=plane)
+    r, _ = lidar_pa_residual(cluster, frames, IDENT_LEXT, False, plane)
     np.testing.assert_allclose(r[0], 0.01, atol=1e-15)
 
 
 def test_lidar_pa_global_rigid_invariance(rng):
-    cluster, frames = make_cluster_frames(rng, noise=0.01)
-    r0, _ = lidar_pa_residual(cluster, frames, IDENT_LEXT)
+    cluster, poses = make_cluster_poses(rng, noise=0.01)
+    r0, _ = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)
     T = rand_pose(rng, 3.0)
-    moved = {
-        k: LidarFrameContext(T.compose(c.pose), c.velocity, c.angular_rate)
-        for k, c in frames.items()
-    }
-    r1, _ = lidar_pa_residual(cluster, moved, IDENT_LEXT)
+    moved = {k: T.compose(p) for k, p in poses.items()}
+    r1, _ = lidar_pa_residual(cluster, lidar_table(moved), IDENT_LEXT, False)
     np.testing.assert_allclose(r0, r1, atol=1e-10)
 
 
@@ -387,18 +410,17 @@ def test_lidar_residuals_share_one_compensated_pose(rng):
         ext = LidarImuExtrinsics(ext_pose.t, ext_pose.q)
         dthat_br = rng.normal() * 0.002
         dt_br = dthat_br + 0.01 + abs(rng.normal()) * 0.004
-        frames = {k: LidarFrameContext(rand_pose(rng, 2.0), rng.normal(size=3),
-                                       rng.normal(size=3) * 0.5)
-                  for k in range(2)}
+        poses = {k: rand_pose(rng, 2.0) for k in range(2)}
+        v = {k: rng.normal(size=3) for k in poses}
+        w = {k: rng.normal(size=3) * 0.5 for k in poses}
+        frames = lidar_table(poses, ext, dt_br, dthat_br, v, w)
         lidar_poses = {}
-        for k, ctx in frames.items():
-            c = compensate_lidar_pose(ctx.pose, dt_br - dthat_br, ctx.velocity,
-                                      ctx.angular_rate)
-            assert np.linalg.norm(c.t - ctx.pose.t) > 1e-4
+        for k, pose in poses.items():
+            c = compensate_lidar_pose(pose, dt_br - dthat_br, v[k], w[k])
+            assert np.linalg.norm(c.t - pose.t) > 1e-4
             lidar_poses[k] = Pose(c.t, c.q).compose(ext.pose())
             meas = F2mPoseMeasurement(k, lidar_poses[k], np.eye(6))
-            r, _ = f2m_pose_residual(ctx.pose, ext, meas, ctx.velocity,
-                                     ctx.angular_rate, dt_br, dthat_br)
+            r, _ = f2m_pose_residual(frames[k], ext, meas, False)
             np.testing.assert_allclose(r, 0.0, atol=1e-12)
 
         world = rng.normal(size=(8, 3)) * 3.0
@@ -410,7 +432,7 @@ def test_lidar_residuals_share_one_compensated_pose(rng):
         for _ in range(5):
             n = rng.normal(size=3)
             plane = PlaneModel(n / np.linalg.norm(n), rng.normal())
-            r, _ = lidar_pa_residual(cluster, frames, ext, dt_br, dthat_br, plane=plane)
+            r, _ = lidar_pa_residual(cluster, frames, ext, False, plane)
             np.testing.assert_allclose(r[0], np.mean(plane.distance(world) ** 2),
                                        rtol=1e-9)
 
@@ -418,8 +440,8 @@ def test_lidar_residuals_share_one_compensated_pose(rng):
 def test_adaptive_covariance_monotone(rng):
     base = None
     for noise in (0.005, 0.02):
-        cluster, frames = make_cluster_frames(rng, noise=noise)
-        var = lidar_pa_residual(cluster, frames, IDENT_LEXT)[1][0, 0]
+        cluster, poses = make_cluster_poses(rng, noise=noise)
+        var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)[1][0, 0]
         if base is None:
             base = var
         else:
@@ -427,8 +449,8 @@ def test_adaptive_covariance_monotone(rng):
 
 
 def test_adaptive_covariance_floor(rng):
-    cluster, frames = make_cluster_frames(rng, noise=0.0)
-    var = lidar_pa_residual(cluster, frames, IDENT_LEXT)[1][0, 0]
+    cluster, poses = make_cluster_poses(rng, noise=0.0)
+    var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)[1][0, 0]
     from lvio.factors import PLANE_COV_FLOOR
     np.testing.assert_allclose(var, PLANE_COV_FLOOR**2 / cluster.n_points)
 
@@ -436,36 +458,33 @@ def test_adaptive_covariance_floor(rng):
 def test_lidar_pa_jacobians_match_fd(rng):
     from lvio.factors import fit_plane as _fit
     for trial in range(15):
-        cluster, frames = make_cluster_frames(rng, noise=0.02)
+        cluster, poses = make_cluster_poses(rng, noise=0.02)
         ext_pose = rand_pose(rng, 0.1)
         ext = LidarImuExtrinsics(ext_pose.t, ext_pose.q)
-        for k in frames:
-            frames[k] = LidarFrameContext(
-                frames[k].pose, rng.normal(size=3), rng.normal(size=3) * 0.5)
+        v, w = {}, {}
+        for k in poses:
+            v[k], w[k] = rng.normal(size=3), rng.normal(size=3) * 0.5
         dthat_br = rng.normal() * 0.002
         dt_br = rng.normal() * 0.004
-        r, cov, J = lidar_pa_residual(cluster, frames, ext, dt_br, dthat_br,
-                                      want_jacobian=True)
+        r, cov, J = lidar_pa_residual(cluster, lidar_table(poses, ext, dt_br, dthat_br, v, w),
+                                      ext, True)
 
         # plane fixed at linearization: tolerance 1e-4; full re-fit FD: 1e-2
         world = []
         Rrb = ext.pose().rotation_matrix()
         for kf, pts_r in cluster.points.items():
-            ctx = frames[kf]
-            c = compensate_lidar_pose(ctx.pose, dt_br - dthat_br, ctx.velocity,
-                                      ctx.angular_rate)
+            c = compensate_lidar_pose(poses[kf], dt_br - dthat_br, v[kf], w[kf])
             world += [c.R @ (c.E @ (Rrb @ p_r + ext.p_br)) + c.t for p_r in pts_r]
         plane_lin = _fit(np.asarray(world))
 
-        for k in frames:
+        for k in poses:
             def f_pose(d, k=k, refit=False):
-                moved = dict(frames)
-                c = frames[k]
-                moved[k] = LidarFrameContext(
-                    perturb_pose(c.pose, d[0:3], d[3:6]),
-                    c.velocity + d[6:9], c.angular_rate)
-                return lidar_pa_residual(cluster, moved, ext, dt_br, dthat_br,
-                                         plane=None if refit else plane_lin)[0]
+                moved, moved_v = dict(poses), dict(v)
+                moved[k] = perturb_pose(poses[k], d[0:3], d[3:6])
+                moved_v[k] = v[k] + d[6:9]
+                frames = lidar_table(moved, ext, dt_br, dthat_br, moved_v, w)
+                return lidar_pa_residual(cluster, frames, ext, False,
+                                         None if refit else plane_lin)[0]
 
             Jfd = fd_jacobian(lambda d: f_pose(d, refit=False), 9)
             Ja = np.hstack([J[("p", k)], J[("q", k)], J[("v", k)]])
@@ -476,8 +495,8 @@ def test_lidar_pa_jacobians_match_fd(rng):
         def f_ext(d):
             moved = LidarImuExtrinsics(ext.p_br + d[0:3],
                                        quat_multiply(ext.q_rb, exp_map(d[3:6])))
-            return lidar_pa_residual(cluster, frames, moved, dt_br + d[6], dthat_br,
-                                     plane=plane_lin)[0]
+            frames = lidar_table(poses, moved, dt_br + d[6], dthat_br, v, w)
+            return lidar_pa_residual(cluster, frames, moved, False, plane_lin)[0]
 
         Jfd = fd_jacobian(f_ext, 7)
         Ja = np.hstack([J[("lp", -1)], J[("lq", -1)], J[("ldt", -1)]])

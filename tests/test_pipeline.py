@@ -48,8 +48,9 @@ def test_zero_noise_full_pipeline_recovers_truth(zero_noise_dir):
 def test_zero_noise_residuals_vanish_at_estimate(zero_noise_dir):
     est, _ = run_and_score(zero_noise_dir, "no_f2m")
     problem = est.build_problem()
+    frames = est.window.frames()
     for factor in problem.factors:
-        r, _ = factor.evaluate(est.window)
+        r, _ = factor.evaluate(est.window, frames)
         assert np.max(np.abs(r)) < 1e-6, factor.kind
 
 
