@@ -12,7 +12,8 @@ import numpy as np
 
 from . import evaluate, io
 from .calibration import CameraImuExtrinsics, LidarImuExtrinsics, calibration_report
-from .estimator import MODES, Estimator, EstimatorConfig, FrameBundle, covariance_blocks
+from .estimator import (GEOMETRY_ERRORS, MODES, Estimator, EstimatorConfig, FrameBundle,
+                        IndefiniteSystemError, covariance_blocks)
 from .f2m import GlobalPlaneMap, estimate_f2m_pose, export_ply
 from .geometry import Pose, exp_map, quat_multiply, quat_normalize
 from .imu import ImuNoiseConfig
@@ -31,25 +32,19 @@ def load_run_inputs(data_dir):
 
 def build_bundles(features, clusters, mode):
     """Merge the feature and cluster streams (`io.read_*_csv`) into one
-    FrameBundle per LiDAR frame, with the camera frame of the same stamp, or
-    per camera frame when there is no LiDAR stream or the mode is vio."""
+    FrameBundle per LiDAR frame, with the feature rows of the camera frame of
+    the same stamp, or per camera frame when there is no LiDAR stream or the
+    mode is vio. In lio mode, or with no camera frame, a bundle has no
+    feature rows."""
     if clusters and mode != "vio":
         feat_by_stamp = {round(s, 6): rows for s, _, rows in features}
         frames = [(stamp, feat_by_stamp.get(round(stamp, 6)), (cluster_ids, points))
                   for stamp, _, cluster_ids, points in clusters]
     else:
         frames = [(stamp, rows, None) for stamp, _, rows in features]
-    out = []
-    for stamp, frows, lidar in frames:
-        bundle = FrameBundle(stamp, clusters=lidar)
-        if mode != "lio" and frows is not None:
-            bundle.features = [
-                (int(lm), np.array([ux, uy, 1.0]), np.array([vx, vy]),
-                 None if math.isnan(depth) else (depth, sigma))
-                for lm, ux, uy, vx, vy, depth, sigma in frows.tolist()
-            ]
-        out.append(bundle)
-    return out
+    no_features = np.zeros((0, 7))
+    return [FrameBundle(stamp, no_features if mode == "lio" or frows is None else frows, lidar)
+            for stamp, frows, lidar in frames]
 
 
 def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | None = None):
@@ -131,8 +126,8 @@ def cmd_run(args):
                 s = math.sqrt(max(np.trace(cov), 0.0))
                 label = labels[key]
                 stds[label] = math.degrees(s) if "deg" in label else s * 1e3
-        except Exception:
-            pass
+        except (IndefiniteSystemError, *GEOMETRY_ERRORS) as exc:
+            print(f"calibration report without STDs: {exc}", file=sys.stderr)
         with open(args.calib_report, "w") as f:
             f.write(calibration_report(est.window.cam_ext, est.window.lid_ext,
                                        dt_bc, stds))

@@ -25,6 +25,10 @@ each keyframe's body, camera and LiDAR-instant frames, derived once by
 single LiDAR preprocessing delay `WindowState.dthat_br`. Every factor of
 the pass reads that table. Covariances of the solution are read from an
 information matrix by `covariance_blocks`.
+
+The window's camera measurements are one observation table fed by the
+feature rows of each `FrameBundle`; a track is the group of one landmark's
+rows, and a camera factor holds its anchors, observer and their three rows.
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ ANCHOR_PRIOR_SIGMAS = {
     "p": 1e-3, "q": 1e-3, "v": 0.05, "bg": 5e-3, "ba": 5e-2,
     "dt": 0.05, "cp": 0.05, "cq": 0.05, "lp": 0.05, "lq": 0.05, "ldt": 0.05,
 }
+# Raised by a factor whose geometry breaks down at a state: no cost there.
+GEOMETRY_ERRORS = (pa.CheiralityError, pa.DegenerateParallaxError, pa.PlaneFitError)
 HUBER_DELTA = 1.0  # whitened-residual norm where the robust cost turns linear
 GRAD_TOL = 1e-10  # LM stops when the gradient's largest entry is below this
 # Sanity bounds on the bias norms of a keyframe state.
@@ -259,11 +265,15 @@ class TimeDelayFactor(Factor):
 
 
 class _CameraFactor(Factor):
+    """kfs = (zeta, eta, j): the anchors and the observer; obs their (3, 5)
+    observation-table rows; depth the LiDAR depth (d, sigma) at zeta, or
+    None for a visual factor."""
+
     robust = True
 
-    def __init__(self, track: pa.LandmarkTrack, observer: int, sigma_u: float):
-        self.track, self.observer, self.sigma_u = track, observer, sigma_u
-        self._ids = sorted({track.anchor_zeta, track.anchor_eta, observer})
+    def __init__(self, kfs: tuple, obs: np.ndarray, depth, sigma_u: float):
+        self.kfs, self.obs, self.depth, self.sigma_u = kfs, obs, depth, sigma_u
+        self._ids = sorted(set(kfs))
 
     def keys(self):
         out = []
@@ -276,7 +286,7 @@ class VisualFactor(_CameraFactor):
     kind = "visual"
 
     def evaluate(self, window, frames, want_jacobian=False):
-        r, J = pa.visual_pa_residual(self.track, self.observer, frames, window.cam_ext,
+        r, J = pa.visual_pa_residual(self.kfs, self.obs, frames, window.cam_ext,
                                      want_jacobian)
         s = 1.0 / self.sigma_u  # cov = sigma_u^2 I
         if not want_jacobian:
@@ -288,7 +298,7 @@ class DepthFactor(_CameraFactor):
     kind = "depth"
 
     def evaluate(self, window, frames, want_jacobian=False):
-        r, J = pa.lidar_depth_pa_residual(self.track, self.observer, frames,
+        r, J = pa.lidar_depth_pa_residual(self.kfs, self.obs, self.depth, frames,
                                           window.cam_ext, want_jacobian)
         # cov = diag(sigma_u^2, sigma_u^2, 1): the depth row is already whitened
         w = np.array([1.0 / self.sigma_u, 1.0 / self.sigma_u, 1.0])
@@ -470,12 +480,15 @@ class SolveStats:
     initial_cost: float = 0.0
     final_cost: float = 0.0
     converged: bool = False
+    failed_trials: int = 0  # trial steps rejected because their cost raised
     H: np.ndarray | None = None  # normal equations at the solution
 
 
 def lm_solve(problem: AssembledProblem, window: WindowState,
              max_iterations: int = 30, rel_tol: float = 1e-8) -> SolveStats:
-    """Levenberg-Marquardt on the manifold, updating window in place."""
+    """Levenberg-Marquardt on the manifold, updating window in place. A trial
+    step whose cost raises a factor-geometry error is rejected like a step
+    that raises the cost."""
     lam = 1e-6
     stats = SolveStats()
     H, g, cost = problem.linearize(window)
@@ -499,7 +512,11 @@ def lm_solve(problem: AssembledProblem, window: WindowState,
             trial = window.copy()
             for key, (off, d) in problem.index.items():
                 trial.retract(key, dx[off:off + d])
-            new_cost = problem.cost(trial)
+            try:
+                new_cost = problem.cost(trial)
+            except GEOMETRY_ERRORS:
+                stats.failed_trials += 1
+                new_cost = np.inf
             if new_cost <= cost + 1e-15:
                 window.keyframes = trial.keyframes
                 window.cam_ext = trial.cam_ext
@@ -619,11 +636,12 @@ class EstimatorConfig:
 @dataclass
 class FrameBundle:
     """One frame at its camera/LiDAR stamp on the sensor clock. features:
-    [(landmark_id, p_u (x, y, 1), v_u (2,), (depth, sigma) | None)]; clusters:
+    (n, 7) rows (landmark_id, ux, uy, vx, vy, depth, depth_sigma) as
+    `io.read_features_csv` gives them, depth NaN when absent; clusters:
     (cluster_ids (n,), points (n, 3) in the LiDAR frame) or None; scan: points."""
 
     stamp: float
-    features: list = field(default_factory=list)
+    features: np.ndarray = field(default_factory=lambda: np.zeros((0, 7)))
     clusters: tuple | None = None
 
     @property
@@ -649,8 +667,15 @@ class Estimator:
         self.map = GlobalPlaneMap()
         self._imu: list = []
         self._next_id = 0
-        self._observations: dict = {}  # landmark_id -> list of (kf, FeatureObservation)
-        self._depths: dict = {}  # landmark_id -> (kf, depth, sigma)
+        # the observation table, a row per stored feature: keyframe id, landmark
+        # id, entry number (the landmark's place in track order, handed out when
+        # it is seen with no row stored) and (ux, uy, 1, vx, vy)
+        self._obs_kf = np.zeros(0, dtype=int)
+        self._obs_lm = np.zeros(0, dtype=int)
+        self._obs_entry = np.zeros(0, dtype=int)
+        self._obs = np.zeros((0, 5))
+        self._entries = 0  # entry numbers handed out
+        self._depths: dict = {}  # landmark_id -> (kf, depth, sigma), its first since entry
         self._clusters: dict = {}  # cluster_id -> {kf: (n, 3) p_r}
         self._scans: dict = {}  # kf -> scan array
         self._preints: dict = {}  # (ki, kj) -> PreintegratedImu
@@ -712,13 +737,22 @@ class Estimator:
         return self._imu[i].angular_rate - np.asarray(bg, float)
 
     def _store_measurements(self, kf, bundle: FrameBundle):
-        if self.uses_camera:
-            for landmark_id, p_u, v_u, depth in bundle.features:
-                o = pa.FeatureObservation(kf, p_u, v_u)
-                self._observations.setdefault(landmark_id, []).append((kf, o))
-                if (depth is not None and self.uses_lidar_planes
-                        and landmark_id not in self._depths):
-                    self._depths[landmark_id] = (kf, float(depth[0]), float(depth[1]))
+        feats = bundle.features
+        if self.uses_camera and len(feats):
+            lms = feats[:, 0].astype(int)
+            entry = dict(zip(self._obs_lm.tolist(), self._obs_entry.tolist()))
+            for lm in lms.tolist():
+                if lm not in entry:
+                    entry[lm] = self._entries
+                    self._entries += 1
+            self._obs_kf = np.append(self._obs_kf, np.full(len(feats), kf))
+            self._obs_lm = np.append(self._obs_lm, lms)
+            self._obs_entry = np.append(self._obs_entry, [entry[lm] for lm in lms.tolist()])
+            self._obs = np.vstack([self._obs, np.column_stack(
+                [feats[:, 1:3], np.ones(len(feats)), feats[:, 3:5]])])
+            if self.uses_lidar_planes:
+                for lm, d, sigma in feats[~np.isnan(feats[:, 5])][:, [0, 5, 6]].tolist():
+                    self._depths.setdefault(int(lm), (kf, d, sigma))
         if self.uses_lidar_planes and bundle.clusters is not None:
             cluster_ids, points = bundle.clusters
             for cluster_id, rows in group_rows(cluster_ids):
@@ -794,30 +828,27 @@ class Estimator:
         ]
 
     def _tracks_in_window(self):
-        ids = set(self.window.keyframes)
-        poses = {k: pa.camera_pose_from_state(self.window.keyframes[k].pose(),
-                                              self.window.cam_ext)
-                 for k in ids}
+        """[(rows, zeta, eta, depth)] per landmark with two or more rows, in
+        entry order: its observation-table rows (in keyframe order), its
+        anchors, and its LiDAR depth (d, sigma) when the keyframe of the
+        depth is still in the window, else None."""
+        poses = {k: pa.camera_pose_from_state(s.pose(), self.window.cam_ext)
+                 for k, s in self.window.keyframes.items()}
+        order = np.argsort(self._obs_entry, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(self._obs_entry[order])) + 1)
         tracks = []
-        for landmark_id, obs_list in self._observations.items():
-            observations = [o for k, o in obs_list if k in ids]
-            if len(observations) < 2:
+        for rows in groups:
+            if len(rows) < 2:
                 continue
-            depth = self._depths.get(landmark_id)
-            lidar_depth = None
-            zeta = None
-            if depth is not None and depth[0] in ids:
-                zeta = depth[0]
-                lidar_depth = (depth[1], depth[2])
+            depth = self._depths.get(int(self._obs_lm[rows[0]]))
+            zeta = depth[0] if depth is not None and depth[0] in poses else None
             try:
-                z, e = pa.select_anchors(observations, poses, zeta)
-                track = pa.LandmarkTrack(landmark_id, observations, z, e,
-                                         lidar_depth=lidar_depth)
-            except (pa.DegenerateParallaxError, ValueError, KeyError):
+                z, e = pa.select_anchors(self._obs_kf[rows], self._obs[rows, :3], poses, zeta)
+            except pa.DegenerateParallaxError:
                 continue
-            tracks.append(track)
+            tracks.append((rows, z, e, None if zeta is None else depth[1:]))
         if len(tracks) > self.cfg.max_tracks:
-            tracks.sort(key=lambda tr: -len(tr.observations))
+            tracks.sort(key=lambda tr: -len(tr[0]))
             tracks = tracks[:self.cfg.max_tracks]
         return tracks
 
@@ -856,14 +887,13 @@ class Estimator:
                 factors.append(TimeDelayFactor(ki, kj, dt))
 
         if self.uses_camera:
-            for track in self._tracks_in_window():
-                kfs = {o.keyframe_id for o in track.observations
-                       if o.keyframe_id in self.window.keyframes}
-                cls = DepthFactor if track.lidar_depth is not None else VisualFactor
-                for j in sorted(kfs):
-                    if j == track.anchor_zeta:
-                        continue
-                    factors.append(cls(track, j, self.cfg.sigma_u))
+            for rows, z, e, depth in self._tracks_in_window():
+                cls = DepthFactor if depth is not None else VisualFactor
+                row_of = dict(zip(self._obs_kf[rows].tolist(), rows.tolist()))
+                for j in row_of:
+                    if j != z:
+                        factors.append(cls((z, e, j), self._obs[[row_of[z], row_of[e], row_of[j]]],
+                                           depth, self.cfg.sigma_u))
 
         if self.uses_lidar_planes:
             for cluster in self._clusters_in_window():
@@ -915,13 +945,11 @@ class Estimator:
         self._f2m.pop(k0, None)
         for key in [k for k in self._preints if k[0] == k0]:
             self._preints.pop(key)
-        for landmark_id in list(self._observations):
-            obs = [(k, o) for k, o in self._observations[landmark_id] if k != k0]
-            if obs:
-                self._observations[landmark_id] = obs
-            else:
-                del self._observations[landmark_id]
-                self._depths.pop(landmark_id, None)
+        keep = self._obs_kf != k0
+        self._obs_kf, self._obs_lm, self._obs_entry, self._obs = (
+            a[keep] for a in (self._obs_kf, self._obs_lm, self._obs_entry, self._obs))
+        seen = set(self._obs_lm.tolist())
+        self._depths = {lm: d for lm, d in self._depths.items() if lm in seen}
         for cluster_id in list(self._clusters):
             self._clusters[cluster_id].pop(k0, None)
             if not self._clusters[cluster_id]:

@@ -19,7 +19,10 @@ window-global blocks (extrinsics, LiDAR time delay) use id -1:
     ("lq", -1) LiDAR-IMU rotation           3
     ("ldt", -1) LiDAR time delay            1
 
-The visual residual follows the unit-sphere reading of the bearing
+A camera residual is a closed form of three keyframes, kfs = (zeta, eta, j):
+the two anchors and the observer. It reads their three rows of the
+estimator's observation table, (ux, uy, 1, vx, vy) each, and no landmark
+state. The visual residual follows the unit-sphere reading of the bearing
 difference: both the predicted point and the observed normalized coordinate
 are renormalized to unit vectors before subtraction.
 
@@ -35,7 +38,7 @@ and derive no frame themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,45 +71,6 @@ class CheiralityError(ValueError):
 
 class PlaneFitError(ValueError):
     """Points do not determine a plane."""
-
-
-@dataclass
-class FeatureObservation:
-    keyframe_id: int
-    p_u: np.ndarray  # (x, y, 1) normalized camera coordinate
-    v_u: np.ndarray = field(default_factory=lambda: np.zeros(2))  # 1/s
-
-    def __post_init__(self):
-        self.p_u = np.asarray(self.p_u, dtype=float)
-        self.v_u = np.asarray(self.v_u, dtype=float)
-        if self.p_u.shape != (3,) or self.p_u[2] != 1.0:
-            raise ValueError("p_u must be (x, y, 1)")
-
-
-@dataclass
-class LandmarkTrack:
-    landmark_id: int
-    observations: list
-    anchor_zeta: int
-    anchor_eta: int
-    lidar_depth: tuple | None = None  # (depth m, sigma m)
-
-    def __post_init__(self):
-        if len(self.observations) < 2:
-            raise ValueError("track needs at least 2 observations")
-        if self.anchor_zeta == self.anchor_eta:
-            raise ValueError("anchors must differ")
-        ids = {o.keyframe_id for o in self.observations}
-        if self.anchor_zeta not in ids or self.anchor_eta not in ids:
-            raise ValueError("anchors must be observed")
-        if self.lidar_depth is not None and self.lidar_depth[0] <= 0:
-            raise ValueError("lidar depth must be positive")
-
-    def observation(self, keyframe_id: int) -> FeatureObservation:
-        for o in self.observations:
-            if o.keyframe_id == keyframe_id:
-                return o
-        raise KeyError(keyframe_id)
 
 
 @dataclass
@@ -194,29 +158,27 @@ def pose_only_depth(uz, ue, Rz, tz, Re, te):
     return d, nt, m, (ue, Re, p_ez, a, na, s, tv, nt)
 
 
-def select_anchors(observations: list, camera_poses: dict, zeta: int | None):
-    """(zeta, eta) for a track's observations.
+def select_anchors(kfs, p_u: np.ndarray, camera_poses: dict, zeta: int | None):
+    """(zeta, eta) for a track seen at keyframes kfs with (m, 3) bearings p_u.
 
     zeta is the given frame (the LiDAR-depth frame) or, when None, the first
-    observation in the window; eta is the observing frame maximizing the
-    parallax with zeta.
+    observation; eta is the observing frame maximizing the parallax with
+    zeta.
     """
-    obs = [o for o in observations if o.keyframe_id in camera_poses]
-    if len(obs) < 2:
-        raise DegenerateParallaxError("fewer than 2 observations in window")
+    kfs = list(kfs)
     if zeta is None:
-        zeta = obs[0].keyframe_id
-    uz = {o.keyframe_id: o.p_u for o in observations}[zeta]
+        zeta = kfs[0]
+    uz = p_u[kfs.index(zeta)]
     pz = camera_poses[zeta]
     Rz = pz.rotation_matrix()
     best, best_theta = None, -1.0
-    for o in obs:
-        if o.keyframe_id == zeta:
+    for k, ue in zip(kfs, p_u):
+        if k == zeta:
             continue
-        pe = camera_poses[o.keyframe_id]
-        _, theta, _, _ = pose_only_depth(uz, o.p_u, Rz, pz.t, pe.rotation_matrix(), pe.t)
+        pe = camera_poses[k]
+        _, theta, _, _ = pose_only_depth(uz, ue, Rz, pz.t, pe.rotation_matrix(), pe.t)
         if theta > best_theta:
-            best, best_theta = o.keyframe_id, theta
+            best, best_theta = k, theta
     if best is None or best_theta < THETA_MIN:
         raise DegenerateParallaxError("no anchor pair with usable parallax")
     return zeta, best
@@ -295,20 +257,18 @@ def _bearing_partials(terms, Rz, uz):
     }
 
 
-def _camera_setup(track, observer, frames):
+def _camera_setup(kfs, obs, frames):
     """The part both camera residuals share: the compensated observation and
     frames of zeta, eta and the observer j, and the pose-only depth.
 
     Returns (cams, d, m, depth terms) with cams = [(frame_id, u, v_u,
     KeyframeFrames)] for zeta, eta and j, in that order."""
-    z, e, j = track.anchor_zeta, track.anchor_eta, observer
-    if j == z:
+    if kfs[2] == kfs[0]:
         raise ValueError("observer must differ from anchor zeta")
     cams = []
-    for k in (z, e, j):
-        o = track.observation(k)
+    for k, o in zip(kfs, obs):
         f = frames[k]
-        cams.append((k, compensate_feature(o.p_u, o.v_u, f.dt_feature), o.v_u, f))
+        cams.append((k, compensate_feature(o[:3], o[3:], f.dt_feature), o[3:], f))
     (_, uz, _, fz), (_, ue, _, fe) = cams[:2]
     d, theta, m, terms = pose_only_depth(uz, ue, fz.Rc, fz.tc, fe.Rc, fe.tc)
     if theta < THETA_MIN:
@@ -324,14 +284,15 @@ def _chain_roles(cams, ext, role_partials):
     return J
 
 
-def visual_pa_residual(track: LandmarkTrack, observer: int, frames: dict,
-                       ext: CameraImuExtrinsics, want_jacobian: bool):
+def visual_pa_residual(kfs, obs: np.ndarray, frames: dict, ext: CameraImuExtrinsics,
+                       want_jacobian: bool):
     """Visual pose-only residual of observer j against anchors (zeta, eta).
 
-    frames: keyframe_id -> KeyframeFrames. Returns (residual 2-vector,
+    kfs = (zeta, eta, j); obs their (3, 5) observation rows (ux, uy, 1, vx,
+    vy); frames: keyframe_id -> KeyframeFrames. Returns (residual 2-vector,
     None), or (residual, jacobian blocks) with want_jacobian.
     """
-    cams, d, m, dterms = _camera_setup(track, observer, frames)
+    cams, d, m, dterms = _camera_setup(kfs, obs, frames)
     (_, uz, _, fz), _, (_, uj, _, fj) = cams
     r, terms = _bearing(d, m, uj, fj.Rc, fz.tc, fj.tc)
     if not want_jacobian:
@@ -349,18 +310,17 @@ def visual_pa_residual(track: LandmarkTrack, observer: int, frames: dict,
     ])
 
 
-def lidar_depth_pa_residual(track: LandmarkTrack, observer: int, frames: dict,
+def lidar_depth_pa_residual(kfs, obs: np.ndarray, depth, frames: dict,
                             ext: CameraImuExtrinsics, want_jacobian: bool):
     """LiDAR-depth pose-only residual: the bearing residual evaluated at the
     measured depth, stacked with the whitened depth discrepancy
     (d_pose - d_meas) / sigma_d.
 
-    frames: keyframe_id -> KeyframeFrames. Returns (residual 3-vector,
-    None), or (residual, jacobian blocks) with want_jacobian."""
-    if track.lidar_depth is None:
-        raise ValueError("track has no LiDAR depth")
-    d_meas, sigma_d = track.lidar_depth
-    cams, d_pose, m, dterms = _camera_setup(track, observer, frames)
+    kfs and obs as for `visual_pa_residual`; depth = (d_meas, sigma_d), the
+    LiDAR depth at zeta. Returns (residual 3-vector, None), or (residual,
+    jacobian blocks) with want_jacobian."""
+    d_meas, sigma_d = depth
+    cams, d_pose, m, dterms = _camera_setup(kfs, obs, frames)
     (_, uz, _, fz), _, (_, uj, _, fj) = cams
     rb, terms = _bearing(d_meas, m, uj, fj.Rc, fz.tc, fj.tc)
     r = np.array([rb[0], rb[1], (d_pose - d_meas) / sigma_d])

@@ -3,9 +3,10 @@
 The sensor streams are CSV tables: a header line naming the columns, then
 one CRLF-terminated row per IMU sample, feature or LiDAR point, with `%.9f`
 stamps, integer ids and `%.12e` values. A feature without LiDAR depth
-leaves `depth` and `depth_sigma` blank; they read as NaN. The readers split
-a table into frames by frame id, in order of each id's first row, with that
-row's stamp, and keep each frame's rows in file order:
+leaves `depth` and `depth_sigma` blank; they read as NaN, and present
+ones must be positive. The readers split a table into frames by frame id,
+in order of each id's first row, with that row's stamp, and keep each
+frame's rows in file order:
 
     imu.csv       t,gx,gy,gz,ax,ay,az -> [ImuSample]
     features.csv  t,frame_id,landmark_id,ux,uy,vx,vy,depth,depth_sigma
@@ -79,6 +80,8 @@ def _depth_field(text):
 
 def read_features_csv(path):
     t = _read_table(path, 9, converters={7: _depth_field, 8: _depth_field})
+    if np.any(t[:, 7:] <= 0):  # NaN, an absent depth, compares false
+        raise ValueError(f"{path}: a LiDAR depth or depth_sigma is not positive")
     return [(float(t[r[0], 0]), int(f), t[r, 2:]) for f, r in group_rows(t[:, 1])]
 
 

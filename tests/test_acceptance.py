@@ -103,16 +103,14 @@ def _visual_case(rng, with_depth):
     ext_pose = rand_pose(rng, 0.1)
     ext = CameraImuExtrinsics(ext_pose.t, ext_pose.q)
     X = np.array([0.5, -0.3, 6.0])
-    poses, observations = {}, []
+    poses, rows = {}, []
     for k in range(3):
         body = Pose(np.array([0.6 * k, 0.1 * k, 0.05 * k]),
                     exp_map(np.array([0.02 * k, -0.03 * k, 0.05 * k])))
         poses[k] = body
         cam = pa.camera_pose_from_state(body, ext)
         x = cam.rotation_matrix().T @ (X - cam.t)
-        observations.append(pa.FeatureObservation(
-            k, np.array([x[0] / x[2], x[1] / x[2], 1.0]),
-            rng.normal(size=2) * 0.3))
+        rows.append([x[0] / x[2], x[1] / x[2], 1.0, *(rng.normal(size=2) * 0.3)])
     depth = None
     if with_depth:
         cam0 = pa.camera_pose_from_state(poses[0], ext)
@@ -120,13 +118,14 @@ def _visual_case(rng, with_depth):
         if x0[2] <= 0.1:
             raise pa.CheiralityError("landmark behind the depth camera")
         depth = (float(x0[2]), 0.05)
-    track = pa.LandmarkTrack(7, observations, 0, 2, lidar_depth=depth)
+    # the camera factor of observer 1 against anchors (0, 2)
+    args = ((0, 2, 1), np.array(rows)[[0, 2, 1]]) + (() if depth is None else (depth,))
     # random linearization point away from the zero-residual configuration
     poses = {k: perturb_pose(p, rng.normal(size=3) * 0.05, rng.normal(size=3) * 0.02)
              for k, p in poses.items()}
     dt_bc = {k: rng.normal() * 0.005 for k in poses}
     dthat = rng.normal() * 0.002
-    return track, poses, ext, dt_bc, dthat
+    return args, poses, ext, dt_bc, dthat
 
 
 def _visual_jacobian_errors(rng, with_depth, n_points):
@@ -134,8 +133,8 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
     worst, done = 0.0, 0
     while done < n_points:
         try:
-            track, poses, ext, dt_bc, dthat = _visual_case(rng, with_depth)
-            r, J = fn(track, 1, keyframe_table(poses, ext, IDENT_LID, dthat, dt_bc=dt_bc),
+            args, poses, ext, dt_bc, dthat = _visual_case(rng, with_depth)
+            r, J = fn(*args, keyframe_table(poses, ext, IDENT_LID, dthat, dt_bc=dt_bc),
                       ext, True)
         except (pa.CheiralityError, pa.DegenerateParallaxError):
             continue
@@ -144,7 +143,7 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
                 moved = dict(poses)
                 moved[k] = perturb_pose(poses[k], d[0:3], d[3:6])
                 frames = keyframe_table(moved, ext, IDENT_LID, dthat, dt_bc=dt_bc)
-                return fn(track, 1, frames, ext, False)[0]
+                return fn(*args, frames, ext, False)[0]
 
             Ja = np.hstack([J.get(("p", k), np.zeros((len(r), 3))),
                             J.get(("q", k), np.zeros((len(r), 3)))])
@@ -154,7 +153,7 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
                 moved = dict(dt_bc)
                 moved[k] = dt_bc[k] + d[0]
                 frames = keyframe_table(poses, ext, IDENT_LID, dthat, dt_bc=moved)
-                return fn(track, 1, frames, ext, False)[0]
+                return fn(*args, frames, ext, False)[0]
 
             worst = max(worst, rel_error(J.get(("dt", k), np.zeros((len(r), 1))),
                                          fd_jacobian(f_dt, 1)))
@@ -163,7 +162,7 @@ def _visual_jacobian_errors(rng, with_depth, n_points):
             moved = CameraImuExtrinsics(ext.p_bc + d[0:3],
                                         quat_multiply(ext.q_cb, exp_map(d[3:6])))
             frames = keyframe_table(poses, moved, IDENT_LID, dthat, dt_bc=dt_bc)
-            return fn(track, 1, frames, moved, False)[0]
+            return fn(*args, frames, moved, False)[0]
 
         worst = max(worst, rel_error(np.hstack([J[("cp", -1)], J[("cq", -1)]]),
                                      fd_jacobian(f_ext, 6)))
@@ -326,8 +325,10 @@ def _raw_residual(f, win):
                                    win.keyframes[f.kj].dt_bc, f.interval)
         return np.array([r])
     if kind in ("visual", "depth"):
-        fn = pa.visual_pa_residual if kind == "visual" else pa.lidar_depth_pa_residual
-        return fn(f.track, f.observer, win.frames(), win.cam_ext, False)[0]
+        if kind == "visual":
+            return pa.visual_pa_residual(f.kfs, f.obs, win.frames(), win.cam_ext, False)[0]
+        return pa.lidar_depth_pa_residual(f.kfs, f.obs, f.depth, win.frames(), win.cam_ext,
+                                          False)[0]
     if kind == "lidar":
         return pa.lidar_pa_residual(f.cluster, win.frames(), win.lid_ext, False)[0]
     if kind == "f2m":

@@ -2,6 +2,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lvio.factors as pa
 from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
@@ -90,6 +92,32 @@ def test_lm_solve_rotation_prior():
     stats = lm_solve(problem, win)
     assert stats.converged
     assert np.max(np.abs(win.keyframes[0].q - target)) < 1e-9
+
+
+class WallFactor(Factor):
+    """Prior pulling p_x of keyframe 0 to 1 that has no cost past x = 0.5,
+    the way a camera factor has none behind the camera."""
+
+    kind = "wall"
+
+    def keys(self):
+        return [("p", 0)]
+
+    def evaluate(self, window, frames, want_jacobian=False):
+        p = window.keyframes[0].p
+        if p[0] > 0.5:
+            raise pa.CheiralityError("past the wall")
+        r = p - np.array([1.0, 0.0, 0.0])
+        return r, ({("p", 0): np.eye(3)} if want_jacobian else None)
+
+
+def test_lm_solve_rejects_a_trial_step_whose_cost_raises():
+    win = fresh_window()
+    stats = lm_solve(AssembledProblem([("p", 0)], [WallFactor()]), win)
+    # the undamped step lands at x = 1: rejected, then damped steps approach the wall
+    assert stats.failed_trials > 0
+    assert 0.4 < win.keyframes[0].p[0] <= 0.5
+    assert stats.final_cost < stats.initial_cost
 
 
 # -- retract / boxminus round trip --------------------------------------------
@@ -359,54 +387,109 @@ def test_no_calib_mode_fixes_calibration_blocks():
     assert problem.stats.get("timedelay", 0) == 0
 
 
-def test_track_in_three_frames_gives_two_visual_factors():
-    est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig())
-    # accelerate along +x so frames have parallax-producing baselines
-    samples = [ImuSample(k / 100.0, np.zeros(3), np.array([0.5, 0, 9.81]))
-               for k in range(101)]
-    est.set_imu(samples)
-    est.initialize(FrameBundle(0.0), np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3))
-    est.process_frame(FrameBundle(0.3))
-    est.process_frame(FrameBundle(0.6))
+def three_frame_run(mode="full", depth=np.nan):
+    """An estimator after three frames 0.3 s apart, accelerating along +x,
+    that see landmark 77 at (1, 3, 0.5) in each frame; the first frame's
+    feature row carries the given LiDAR depth."""
+    est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig(mode=mode))
+    est.set_imu([ImuSample(k / 100.0, np.zeros(3), np.array([0.5, 0, 9.81]))
+                 for k in range(101)])
     X = np.array([1.0, 3.0, 0.5])
-    import lvio.factors as pa
-    for kf in est.window.ordered_ids():
-        cam = est.window.keyframes[kf].pose()  # identity extrinsics: camera = body
-        x = cam.inverse().transform(X)
-        p_u = np.array([x[0] / x[2], x[1] / x[2], 1.0])
-        est._observations.setdefault(77, []).append(
-            (kf, pa.FeatureObservation(kf, p_u, np.zeros(2))))
-    problem = est.build_problem()
+
+    def bundle(t, d=np.nan):
+        x = X - np.array([0.25 * t * t, 0.0, 0.0])  # identity extrinsics: camera = body
+        sigma = np.nan if np.isnan(d) else 0.05
+        return FrameBundle(t, np.array([[77, x[0] / x[2], x[1] / x[2], 0.0, 0.0, d, sigma]]))
+
+    est.initialize(bundle(0.0, depth), np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3))
+    est.process_frame(bundle(0.3))
+    est.process_frame(bundle(0.6))
+    return est
+
+
+def test_track_in_three_frames_gives_two_visual_factors():
+    problem = three_frame_run().build_problem()
     assert problem.stats.get("visual", 0) == 2
-    # attach a depth to the first observation: factors become depth-typed
-    est._depths[77] = (0, float(np.linalg.norm(X)), 0.05)
-    problem = est.build_problem()
+    # a depth on the first observation: factors become depth-typed
+    problem = three_frame_run(depth=0.5).build_problem()
     assert problem.stats.get("depth", 0) == 2
     assert problem.stats.get("visual", 0) == 0
 
 
 def test_vio_mode_stores_no_lidar_depth():
-    est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig(mode="vio"))
-    samples = [ImuSample(k / 100.0, np.zeros(3), np.array([0.5, 0, 9.81]))
-               for k in range(101)]
-    est.set_imu(samples)
-    X = np.array([1.0, 3.0, 0.5])
-    p_u = np.array([X[0] / X[2], X[1] / X[2], 1.0])
-    feature = (77, p_u, np.zeros(2), (float(np.linalg.norm(X)), 0.05))
-    est.initialize(FrameBundle(0.0, features=[feature]), np.zeros(3),
-                   np.array([1.0, 0, 0, 0]), np.zeros(3))
-    est.process_frame(FrameBundle(0.3))
-    est.process_frame(FrameBundle(0.6))
-    for kf in est.window.ordered_ids()[1:]:
-        cam = est.window.keyframes[kf].pose()  # identity extrinsics: camera = body
-        x = cam.inverse().transform(X)
-        est._observations[77].append(
-            (kf, pa.FeatureObservation(kf, np.array([x[0] / x[2], x[1] / x[2], 1.0]),
-                                       np.zeros(2))))
+    est = three_frame_run(mode="vio", depth=0.5)
     assert est._depths == {}
     stats = est.build_problem().stats
     assert "depth" not in stats
     assert stats.get("visual", 0) == 2
+
+
+# -- the observation table ---------------------------------------------------------
+
+
+def reference_tracks(observations, depths, poses, max_tracks):
+    """_tracks_in_window over a dict of lists landmark -> [(kf, p_u)] kept in
+    first-sighting order: [(landmark, kfs, zeta, eta, depth)]."""
+    tracks = []
+    for lm, obs in observations.items():
+        if len(obs) < 2:
+            continue
+        depth = depths.get(lm)
+        zeta = depth[0] if depth is not None and depth[0] in poses else None
+        kfs = [k for k, _ in obs]
+        try:
+            z, e = pa.select_anchors(kfs, np.array([p for _, p in obs]), poses, zeta)
+        except pa.DegenerateParallaxError:
+            continue
+        tracks.append((lm, kfs, z, e, None if zeta is None else depth[1:]))
+    if len(tracks) > max_tracks:
+        tracks.sort(key=lambda tr: -len(tr[1]))
+        tracks = tracks[:max_tracks]
+    return tracks
+
+
+@settings(max_examples=60, deadline=None)
+@given(frames=st.lists(st.lists(st.tuples(st.integers(0, 6), st.booleans()),
+                                unique_by=lambda f: f[0], max_size=7),
+                       min_size=2, max_size=12),
+       landmarks=st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2), st.floats(4, 8)),
+                          min_size=7, max_size=7),
+       max_tracks=st.integers(1, 5))
+def test_tracks_in_window_match_dict_of_lists_reference(frames, landmarks, max_tracks):
+    """Landmarks leave the window and are seen again; keyframes come in
+    pairs at one position, so tracks seen only by a pair have no parallax."""
+    est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig(window_size=3, max_tracks=max_tracks))
+    observations, depths = {}, {}
+    for kf, frame in enumerate(frames):
+        body = Pose(np.array([0.4 * (kf // 2), 0.1 * (kf % 3), 0.0]),
+                    exp_map(np.array([0.0, 0.02 * kf, 0.0])))
+        est.window.add(kf, KeyframeState(0.1 * kf, body.t, body.q, np.zeros(3)))
+        rows = []
+        for lm, has_depth in frame:
+            x = body.inverse().transform(np.array(landmarks[lm]))
+            p_u = x / x[2]
+            rows.append([lm, p_u[0], p_u[1], 0.0, 0.0] + ([x[2], 0.05] if has_depth
+                                                           else [np.nan, np.nan]))
+            observations.setdefault(lm, []).append((kf, p_u))
+            if has_depth:
+                depths.setdefault(lm, (kf, x[2], 0.05))
+        est._store_measurements(kf, FrameBundle(0.1 * kf, np.array(rows).reshape(-1, 7)))
+
+        poses = {k: s.pose() for k, s in est.window.keyframes.items()}
+        want = reference_tracks(observations, depths, poses, max_tracks)
+        got = [(int(est._obs_lm[rows[0]]), est._obs_kf[rows].tolist(), z, e, depth)
+               for rows, z, e, depth in est._tracks_in_window()]
+        assert got == want
+
+        if len(est.window.keyframes) > est.cfg.window_size:
+            k0 = est.window.ordered_ids()[0]
+            del est.window.keyframes[k0]
+            est._cleanup(k0)
+            for lm in list(observations):
+                observations[lm] = [(k, p) for k, p in observations[lm] if k != k0]
+                if not observations[lm]:
+                    del observations[lm]
+                    depths.pop(lm, None)
 
 
 def test_mode_flags():

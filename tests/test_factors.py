@@ -6,8 +6,6 @@ from lvio.factors import (
     THETA_MIN,
     CheiralityError,
     DegenerateParallaxError,
-    FeatureObservation,
-    LandmarkTrack,
     PlaneCluster,
     PlaneFitError,
     PlaneModel,
@@ -39,8 +37,9 @@ def cam(pose):
     return pose.rotation_matrix(), pose.t
 
 
-def obs(kf, x, y, v=(0.0, 0.0)):
-    return FeatureObservation(kf, np.array([x, y, 1.0]), np.array(v))
+def obs(x, y, v=(0.0, 0.0)):
+    """One observation-table row (ux, uy, 1, vx, vy)."""
+    return [x, y, 1.0, *v]
 
 
 def cam_table(poses, ext=IDENT_EXT, dt_bc=None, dthat_br=0.0):
@@ -96,10 +95,10 @@ def test_pose_only_depth_zero_baseline():
     d, theta, _, _ = pose_only_depth(u, u, *cam(pz), *cam(pz))
     assert theta == 0.0 and d == np.inf
     # a camera residual anchored on zero parallax refuses to evaluate
-    track = LandmarkTrack(0, [obs(0, 0.0, 0.0), obs(1, 0.0, 0.0), obs(2, 0.1, 0.0)], 0, 1)
+    rows = np.array([obs(0.0, 0.0), obs(0.0, 0.0), obs(0.1, 0.0)])
     poses = {0: pz, 1: pz, 2: Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))}
     with pytest.raises(DegenerateParallaxError):
-        visual_pa_residual(track, 2, cam_table(poses), IDENT_EXT, False)
+        visual_pa_residual((0, 1, 2), rows, cam_table(poses), IDENT_EXT, False)
 
 
 def triangulate_two_view(u1, u2, pose1, pose2):
@@ -141,9 +140,9 @@ def test_pose_only_depth_matches_triangulation(rng):
 
 
 def test_select_anchors_two_observations():
-    track = LandmarkTrack(0, [obs(0, 0.0, 0.0), obs(1, -0.2, 0.0)], 0, 1)
+    p_u = np.array([[0.0, 0.0, 1.0], [-0.2, 0.0, 1.0]])
     poses = {0: Pose.identity(), 1: Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))}
-    z, e = select_anchors(track.observations, poses, None)
+    z, e = select_anchors([0, 1], p_u, poses, None)
     assert (z, e) == (0, 1)
 
 
@@ -151,23 +150,22 @@ def test_select_anchors_max_parallax():
     # frames on a line, growing baseline: farthest frame wins
     X = np.array([0.0, 0.0, 5.0])
     poses = {k: Pose(np.array([0.5 * k, 0, 0]), np.array([1.0, 0, 0, 0])) for k in range(4)}
-    observations = []
-    for k, pose in poses.items():
-        x = pose.rotation_matrix().T @ (X - pose.t)
-        observations.append(obs(k, x[0] / x[2], x[1] / x[2]))
-    track = LandmarkTrack(0, observations, 0, 1)
-    z, e = select_anchors(track.observations, poses, None)
+    x = np.array([pose.rotation_matrix().T @ (X - pose.t) for pose in poses.values()])
+    z, e = select_anchors(list(poses), x / x[:, 2:], poses, None)
     assert z == 0 and e == 3
 
 
 def test_select_anchors_prefers_depth_frame():
-    track = LandmarkTrack(
-        0, [obs(1, 0.0, 0.0), obs(2, -0.1, 0.0), obs(3, -0.2, 0.0)], 2, 3,
-        lidar_depth=(5.0, 0.05),
-    )
+    p_u = np.array([[0.0, 0.0, 1.0], [-0.1, 0.0, 1.0], [-0.2, 0.0, 1.0]])
     poses = {k: Pose(np.array([0.5 * k, 0, 0]), np.array([1.0, 0, 0, 0])) for k in (1, 2, 3)}
-    z, _ = select_anchors(track.observations, poses, track.anchor_zeta)
+    z, _ = select_anchors([1, 2, 3], p_u, poses, 2)
     assert z == 2
+
+
+def test_select_anchors_degenerate_parallax():
+    p_u = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(DegenerateParallaxError):
+        select_anchors([0, 1], p_u, {0: Pose.identity(), 1: Pose.identity()}, None)
 
 
 # ---------------------------------------------------------------- plane fit
@@ -207,6 +205,9 @@ def test_fit_plane_noisy_monte_carlo(rng):
 
 
 def synthetic_visual_setup(rng, n_frames=3, ext=None, depth_frame=None):
+    """One landmark seen from n_frames keyframes: (track, body poses, X),
+    the track being (rows (n_frames, 5) with row k at keyframe k, zeta,
+    eta, LiDAR depth at zeta or None)."""
     ext = ext or IDENT_EXT
     X = np.array([0.5, -0.3, 6.0])
     body_poses, observations = {}, []
@@ -218,7 +219,7 @@ def synthetic_visual_setup(rng, n_frames=3, ext=None, depth_frame=None):
         body_poses[k] = body
         cam = camera_pose_from_state(body, ext)
         x = cam.rotation_matrix().T @ (X - cam.t)
-        observations.append(obs(k, x[0] / x[2], x[1] / x[2]))
+        observations.append(obs(x[0] / x[2], x[1] / x[2]))
     depth = None
     if depth_frame is not None:
         camz = camera_pose_from_state(body_poses[depth_frame], ext)
@@ -226,36 +227,43 @@ def synthetic_visual_setup(rng, n_frames=3, ext=None, depth_frame=None):
         if xz[2] <= 0.1:
             raise CheiralityError("landmark behind synthetic depth camera")
         depth = (float(xz[2]), 0.05)
-    track = LandmarkTrack(7, observations, 0 if depth_frame is None else depth_frame,
-                          n_frames - 1 if depth_frame != n_frames - 1 else 0,
-                          lidar_depth=depth)
+    track = (np.array(observations), 0 if depth_frame is None else depth_frame,
+             n_frames - 1 if depth_frame != n_frames - 1 else 0, depth)
     return track, body_poses, X
+
+
+def camera_args(track, observer):
+    """The leading arguments of the camera residual of observer j on a
+    synthetic track: (kfs, obs) for a visual one, plus the depth when the
+    track has one."""
+    rows, z, e, depth = track
+    kfs = (z, e, observer)
+    return (kfs, rows[list(kfs)]) + (() if depth is None else (depth,))
 
 
 def test_visual_residual_zero_at_truth(rng):
     track, poses, _ = synthetic_visual_setup(rng)
-    r, _ = visual_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
+    r, _ = visual_pa_residual(*camera_args(track, 1), cam_table(poses), IDENT_EXT, False)
     assert np.linalg.norm(r) < 1e-9
 
 
 def test_visual_residual_nonzero_when_perturbed(rng):
     track, poses, _ = synthetic_visual_setup(rng)
     poses[1] = Pose(poses[1].t + np.array([0.05, 0, 0]), poses[1].q)
-    r, _ = visual_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
+    r, _ = visual_pa_residual(*camera_args(track, 1), cam_table(poses), IDENT_EXT, False)
     assert np.linalg.norm(r) > 1e-5
 
 
 def test_visual_residual_cheirality():
     # landmark behind observer
-    observations = [obs(0, 0.0, 0.0), obs(1, 0.0, 0.0), obs(2, 0.0, 0.0)]
-    track = LandmarkTrack(0, observations, 0, 1)
+    rows = np.array([obs(0.0, 0.0), obs(0.0, 0.0), obs(0.0, 0.0)])
     poses = {
         0: Pose.identity(),
         1: Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0])),
         2: Pose(np.array([0.0, 0, 100.0]), np.array([1.0, 0, 0, 0])),
     }
     with pytest.raises((CheiralityError, DegenerateParallaxError)):
-        visual_pa_residual(track, 2, cam_table(poses), IDENT_EXT, False)
+        visual_pa_residual((0, 1, 2), rows, cam_table(poses), IDENT_EXT, False)
 
 
 def test_visual_residual_global_rigid_invariance(rng):
@@ -263,10 +271,10 @@ def test_visual_residual_global_rigid_invariance(rng):
     ext = CameraImuExtrinsics(ext_pose.t, ext_pose.q)
     track, poses, _ = synthetic_visual_setup(rng, ext=ext)
     poses = {k: Pose(p.t + np.array([0.02, -0.01, 0.03]) * (k + 1), p.q) for k, p in poses.items()}
-    r0, _ = visual_pa_residual(track, 1, cam_table(poses, ext), ext, False)
+    r0, _ = visual_pa_residual(*camera_args(track, 1), cam_table(poses, ext), ext, False)
     T = rand_pose(rng, 5.0)
     moved = {k: T.compose(p) for k, p in poses.items()}
-    r1, _ = visual_pa_residual(track, 1, cam_table(moved, ext), ext, False)
+    r1, _ = visual_pa_residual(*camera_args(track, 1), cam_table(moved, ext), ext, False)
     np.testing.assert_allclose(r0, r1, atol=1e-10)
 
 
@@ -278,19 +286,22 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
     # perturb away from the zero-residual point and add feature velocities
     poses = {k: perturb_pose(p, rng.normal(size=3) * 0.05, rng.normal(size=3) * 0.02)
              for k, p in poses.items()}
-    for o in track.observations:
-        o.v_u = rng.normal(size=2) * 0.3
+    track[0][:, 3:] = rng.normal(size=(len(poses), 2)) * 0.3
     dt_bc = {k: rng.normal() * 0.005 for k in poses}
     dthat = rng.normal() * 0.002
-    fn = lidar_depth_pa_residual if with_depth else visual_pa_residual
+    residual = lidar_depth_pa_residual if with_depth else visual_pa_residual
+    args = camera_args(track, observer)
 
-    r, J = fn(track, observer, cam_table(poses, ext, dt_bc, dthat), ext, True)
+    def fn(frames, ext, want_jacobian):
+        return residual(*args, frames, ext, want_jacobian)
+
+    r, J = fn(cam_table(poses, ext, dt_bc, dthat), ext, True)
 
     for k in poses:
         def f_pose(d, k=k):
             moved = dict(poses)
             moved[k] = perturb_pose(poses[k], d[0:3], d[3:6])
-            return fn(track, observer, cam_table(moved, ext, dt_bc, dthat), ext, False)[0]
+            return fn(cam_table(moved, ext, dt_bc, dthat), ext, False)[0]
 
         Jfd = fd_jacobian(f_pose, 6)
         Ja = np.hstack([
@@ -302,7 +313,7 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
         def f_dt(d, k=k):
             moved = dict(dt_bc)
             moved[k] = dt_bc[k] + d[0]
-            return fn(track, observer, cam_table(poses, ext, moved, dthat), ext, False)[0]
+            return fn(cam_table(poses, ext, moved, dthat), ext, False)[0]
 
         Jfd = fd_jacobian(f_dt, 1)
         assert rel_error(J.get(("dt", k), np.zeros((len(r), 1))), Jfd) < tol, ("dt", k)
@@ -310,7 +321,7 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
     def f_ext(d):
         moved = CameraImuExtrinsics(ext.p_bc + d[0:3],
                                     quat_multiply(ext.q_cb, exp_map(d[3:6])))
-        return fn(track, observer, cam_table(poses, moved, dt_bc, dthat), moved, False)[0]
+        return fn(cam_table(poses, moved, dt_bc, dthat), moved, False)[0]
 
     Jfd = fd_jacobian(f_ext, 6)
     Ja = np.hstack([J[("cp", -1)], J[("cq", -1)]])
@@ -335,15 +346,15 @@ def test_visual_jacobians_observer_equals_eta(rng):
 
 def test_lidar_depth_residual_zero_at_truth(rng):
     track, poses, _ = synthetic_visual_setup(rng, depth_frame=0)
-    r, _ = lidar_depth_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
+    r, _ = lidar_depth_pa_residual(*camera_args(track, 1), cam_table(poses), IDENT_EXT, False)
     assert np.linalg.norm(r) < 1e-9
 
 
 def test_lidar_depth_residual_measures_depth_offset(rng):
     track, poses, _ = synthetic_visual_setup(rng, depth_frame=0)
-    d, sigma = track.lidar_depth
-    track.lidar_depth = (d + 0.1, sigma)
-    r, _ = lidar_depth_pa_residual(track, 1, cam_table(poses), IDENT_EXT, False)
+    rows, z, e, (d, sigma) = track
+    r, _ = lidar_depth_pa_residual(*camera_args((rows, z, e, (d + 0.1, sigma)), 1),
+                                   cam_table(poses), IDENT_EXT, False)
     np.testing.assert_allclose(r[2], -0.1 / sigma, atol=1e-9)
 
 

@@ -1,6 +1,7 @@
 """The sensor CSV streams as tables: the writers reproduce the `csv.writer`
 files byte for byte, the readers split them into frames of arrays, and
-`cli.build_bundles` hands the LiDAR arrays on to the estimator unchanged."""
+`cli.build_bundles` hands the feature rows and LiDAR arrays on to the
+estimator unchanged."""
 
 import csv
 import math
@@ -167,8 +168,18 @@ def test_frame_without_depth(tmp_path):
     back = io.read_features_csv(tmp_path / "f.csv")
     assert np.isnan(back[1][2][:, 5:]).all()
     bundles = build_bundles(back, [], "full")
-    assert [d for *_, d in bundles[0].features] == [(4.5, 0.05), None]
-    assert [d for *_, d in bundles[1].features] == [None, None]
+    assert bundles[0].features is back[0][2]
+    np.testing.assert_array_equal(bundles[0].features[:, 5:], [[4.5, 0.05], [np.nan, np.nan]])
+    np.testing.assert_array_equal(bundles[1].features[:, 5:], np.full((2, 2), np.nan))
+    # lio mode gets no feature rows
+    assert [b.features.shape for b in build_bundles(back, [], "lio")] == [(0, 7), (0, 7)]
+
+
+@pytest.mark.parametrize("depth", [(0.0, 0.05), (-1.0, 0.05), (4.5, 0.0), (4.5, -0.05)])
+def test_features_csv_rejects_nonpositive_depth(tmp_path, depth):
+    io.write_features_csv(tmp_path / "f.csv", [(0.0, 0, [(1, 0.1, 0.2, 0.0, 0.0, depth)])])
+    with pytest.raises(ValueError, match="not positive"):
+        io.read_features_csv(tmp_path / "f.csv")
 
 
 def test_build_bundles_hands_cluster_points_to_the_estimator(tmp_path):
@@ -181,7 +192,9 @@ def test_build_bundles_hands_cluster_points_to_the_estimator(tmp_path):
     assert bundle.clusters[1] is clusters[0][3]
     assert bundle.scan is bundle.clusters[1]
     np.testing.assert_array_equal(bundle.scan, pts)
-    assert [lm for lm, *_ in bundle.features] == [6]
+    assert bundle.features[:, 0].tolist() == [6]
+    # a LiDAR frame without a camera frame gets no feature rows
+    assert build_bundles([], clusters, "full")[0].features.shape == (0, 7)
 
     est = Estimator(CameraImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0])),
                     LidarImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0])),

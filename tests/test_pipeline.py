@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from lvio import io
+from lvio import cli, io
 from lvio.cli import main, run_estimator
-from lvio.estimator import Estimator, EstimatorConfig
+from lvio.estimator import Estimator, EstimatorConfig, IndefiniteSystemError
+from lvio.factors import CheiralityError, DegenerateParallaxError, PlaneFitError
 from lvio.evaluate import ate_rmse
 from lvio.f2m import export_ply
 from lvio.geometry import Pose
@@ -152,6 +153,31 @@ def test_cli_run_reports(tmp_path, capsys):
     assert "lidar-imu rotation XYZ (deg)" in text
     assert yawcsv.read_text().startswith("t,yaw_std_deg")
     assert len(yawcsv.read_text().splitlines()) > 5
+
+
+@pytest.mark.parametrize("error", [IndefiniteSystemError, CheiralityError,
+                                   DegenerateParallaxError, PlaneFitError])
+def test_cli_calib_report_without_stds_when_degenerate(tmp_path, capsys, monkeypatch, error):
+    scen = tmp_path / "scen.cfg"
+    io.write_config(scen, dict(ZERO_NOISE, duration=1.0))
+    data = tmp_path / "data"
+    main(["simulate", str(scen), str(data)])
+
+    def degenerate(*args):
+        raise error("degenerate information")
+
+    monkeypatch.setattr(cli, "covariance_blocks", degenerate)
+    report = tmp_path / "calib.txt"
+    assert main(["run", str(data), "--mode", "vio", "--calib-report", str(report)]) == 0
+    assert "calibration report without STDs: degenerate information" in capsys.readouterr().err
+    text = report.read_text()
+    assert "camera time delay (ms)" in text
+    assert "std " not in text
+
+    # any other failure is an error of the run, not a report without STDs
+    monkeypatch.setattr(cli, "covariance_blocks", lambda *args: 1 / 0)
+    assert main(["run", str(data), "--mode", "vio", "--calib-report", str(report)]) == 1
+    assert "error: division by zero" in capsys.readouterr().err
 
 
 def test_cli_colorize(tmp_path, capsys):
