@@ -10,7 +10,8 @@ IMU preintegration and time-delay random walks between consecutive
 keyframes, pose-only visual / LiDAR-depth / LiDAR-plane factors, the
 loosely-coupled F2M pose factor on the oldest and newest keyframes, simple
 Gaussian priors, and the marginalization prior. When the window is full the
-oldest keyframe is folded into the prior by a Schur complement; the F2M
+oldest keyframe is folded into the prior by a Schur complement over the
+factors of the frame's own problem, relinearized at the solution; the F2M
 factor on that keyframe is removed beforehand (it carries absolute map
 information whose marginalization would make the estimator inconsistent)
 unless the "marg_f2m" ablation keeps it.
@@ -265,9 +266,8 @@ class TimeDelayFactor(Factor):
 
 
 class _CameraFactor(Factor):
-    """kfs = (zeta, eta, j): the anchors and the observer; obs their (3, 5)
-    observation-table rows; depth the LiDAR depth (d, sigma) at zeta, or
-    None for a visual factor."""
+    """kfs = (zeta, eta, j), the anchors and the observer; obs their (3, 5)
+    observation-table rows; depth the LiDAR depth (d, sigma) at zeta or None."""
 
     robust = True
 
@@ -798,7 +798,7 @@ class Estimator:
         self._record_yaw_std(problem, kf, stats.H)
 
         if len(self.window.keyframes) > self.cfg.window_size:
-            self.marginalize_oldest()
+            self.marginalize_oldest(problem)
         s = self.window.keyframes[kf]
         return OdometryOutput(s.timestamp, s.pose(), s.v.copy())
 
@@ -838,12 +838,13 @@ class Estimator:
         groups = np.split(order, np.flatnonzero(np.diff(self._obs_entry[order])) + 1)
         tracks = []
         for rows in groups:
-            if len(rows) < 2:
+            kfs = self._obs_kf[rows].tolist()
+            if len(kfs) < 2:
                 continue
             depth = self._depths.get(int(self._obs_lm[rows[0]]))
             zeta = depth[0] if depth is not None and depth[0] in poses else None
             try:
-                z, e = pa.select_anchors(self._obs_kf[rows], self._obs[rows, :3], poses, zeta)
+                z, e = pa.select_anchors(kfs, self._obs[rows, :3], poses, zeta)
             except pa.DegenerateParallaxError:
                 continue
             tracks.append((rows, z, e, None if zeta is None else depth[1:]))
@@ -914,10 +915,9 @@ class Estimator:
 
     # -- marginalization -----------------------------------------------------------
 
-    def marginalize_oldest(self):
-        ids = self.window.ordered_ids()
-        k0 = ids[0]
-        problem = self.build_problem()
+    def marginalize_oldest(self, problem: AssembledProblem):
+        """Fold the oldest keyframe into the prior, from the frame's solved problem."""
+        k0 = self.window.ordered_ids()[0]
         marg_keys = [b for b in (("p", k0), ("q", k0), ("v", k0), ("bg", k0),
                                  ("ba", k0), ("dt", k0)) if b in problem.index]
         touching = []

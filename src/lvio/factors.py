@@ -158,14 +158,13 @@ def pose_only_depth(uz, ue, Rz, tz, Re, te):
     return d, nt, m, (ue, Re, p_ez, a, na, s, tv, nt)
 
 
-def select_anchors(kfs, p_u: np.ndarray, camera_poses: dict, zeta: int | None):
+def select_anchors(kfs: list, p_u: np.ndarray, camera_poses: dict, zeta: int | None):
     """(zeta, eta) for a track seen at keyframes kfs with (m, 3) bearings p_u.
 
     zeta is the given frame (the LiDAR-depth frame) or, when None, the first
     observation; eta is the observing frame maximizing the parallax with
     zeta.
     """
-    kfs = list(kfs)
     if zeta is None:
         zeta = kfs[0]
     uz = p_u[kfs.index(zeta)]

@@ -336,8 +336,8 @@ def test_marginalization_discards_f2m_on_oldest(full_run):
     with_f2m = copy.deepcopy(full_run)
     without = copy.deepcopy(full_run)
     inject_f2m(with_f2m, ids[0])
-    with_f2m.marginalize_oldest()
-    without.marginalize_oldest()
+    with_f2m.marginalize_oldest(with_f2m.build_problem())
+    without.marginalize_oldest(without.build_problem())
     a, b = with_f2m.window.prior, without.window.prior
     assert a.keys == b.keys
     assert np.allclose(a.sqrt_info, b.sqrt_info, atol=1e-12)
@@ -351,8 +351,8 @@ def test_marg_f2m_mode_keeps_f2m_information(full_run):
     drop = copy.deepcopy(full_run)
     inject_f2m(keep, ids[0])
     inject_f2m(drop, ids[0])
-    keep.marginalize_oldest()
-    drop.marginalize_oldest()
+    keep.marginalize_oldest(keep.build_problem())
+    drop.marginalize_oldest(drop.build_problem())
     assert not np.allclose(keep.window.prior.r0, drop.window.prior.r0, atol=1e-12) \
         or not np.allclose(keep.window.prior.sqrt_info, drop.window.prior.sqrt_info,
                            atol=1e-12)
