@@ -5,14 +5,18 @@
 For each workload of `benchmark/workloads.py` and each seed, simulates the
 workload's data directory as `benchmark/run.py` does, runs the estimator
 with the workload's config once, and prints one JSON line: the ATE, the
-final camera-delay error, the camera and LiDAR lever-arm errors, the LM
-iterations summed over frames, and a sha256 over the trajectory, the map,
-the yaw-STD series and the final calibration state.
+final drift (the unaligned distance between the last estimated position and
+the truth at its stamp), the final camera-delay error, the camera and LiDAR
+lever-arm errors, the LM iterations summed over frames, the sha256 of the
+prepared data directory that `benchmark/run.py` prints as its inputs
+sha256, and a sha256 over the trajectory, the map, the yaw-STD series and
+the final calibration state.
 
 --src names the source tree to import `lvio` from (default: this
 repository's `src`). Running the script on two trees and comparing the
-digests checks that a change keeps the estimator's outputs bit-identical;
-the other fields are the accuracy study of a change that does not. BLAS
+two digests checks that a change keeps both the simulated inputs and the
+estimator's outputs bit-identical; the other fields are the accuracy study
+of a change that does not. BLAS
 runs single-threaded, as in the benchmark, so that the digest is
 reproducible.
 """
@@ -62,6 +66,7 @@ def digest(est) -> str:
 def study(wl, seed: int, work: Path) -> dict:
     import checks
     import numpy as np
+    from run import inputs_digest
     from workloads import strip_lidar
 
     from lvio import io
@@ -71,11 +76,14 @@ def study(wl, seed: int, work: Path) -> dict:
     simulate_scenario(wl.scenario_for(seed), work)
     if wl.mode == "vio":  # as benchmark/run.py prepares it
         strip_lidar(work)
+    inputs = inputs_digest(work)
     truth = io.read_tum(work / "gt.tum")
     calib = io.read_config(work / "truth_calib.cfg")
     est = run_estimator(work, mode=wl.mode, config=wl.config())
     traj = [(o.timestamp, o.pose) for o in est.trajectory()]
     ate, _ = checks.ate(traj, truth)
+    t_end, pose_end = traj[-1]
+    i_end = int(np.argmin(np.abs(np.array([t for t, _ in truth]) - t_end)))
     last = est.window.keyframes[est.window.ordered_ids()[-1]]
     delay = float(calib["dt_bc"]) + float(calib["dt_bc_drift"]) * last.timestamp
     cam_t = io.read_vector(calib, "cam_t", [0, 0, 0])
@@ -85,10 +93,12 @@ def study(wl, seed: int, work: Path) -> dict:
         "seed": seed,
         "frames": len(traj),
         "ate_mm": ate * 1e3,
+        "final_err_mm": float(np.linalg.norm(pose_end.t - truth[i_end][1].t)) * 1e3,
         "cam_delay_err_us": (last.dt_bc - delay) * 1e6,
         "cam_lever_err_mm": float(np.linalg.norm(est.window.cam_ext.p_bc - cam_t)) * 1e3,
         "lid_lever_err_mm": float(np.linalg.norm(est.window.lid_ext.p_br - lid_t)) * 1e3,
         "lm_iterations": sum(s.iterations for s in est.solve_log),
+        "inputs_sha256": inputs,
         "sha256": digest(est),
     }
 

@@ -87,7 +87,7 @@ def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | No
     # frames are preprocessed with the window's fixed LiDAR delay:
     # process_frame integrates the IMU up to stamp + dthat_br, whatever the
     # current delay estimate
-    t_max = imu[-1].timestamp
+    t_max = imu[-1, 0]
     for bundle in bundles[1:]:
         if bundle.stamp + est.window.dthat_br > t_max:
             break

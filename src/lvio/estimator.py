@@ -211,7 +211,7 @@ class Factor:
     def keys(self):
         raise NotImplementedError
 
-    def evaluate(self, window: WindowState, frames: dict, want_jacobian: bool = False):
+    def evaluate(self, window: WindowState, frames: dict, want_jacobian: bool):
         """Whitened residual (and jacobian blocks keyed like the window);
         frames is the pass's `WindowState.frames()` table."""
         raise NotImplementedError
@@ -231,7 +231,7 @@ class ImuFactor(Factor):
             out += [("p", k), ("q", k), ("v", k), ("bg", k), ("ba", k)]
         return out
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         r, Jn = preintegration_residual(window.keyframes[self.ki], window.keyframes[self.kj],
                                         self.pre, want_jacobian)
         rw = solve_triangular(self._L, r, lower=True)
@@ -254,7 +254,7 @@ class TimeDelayFactor(Factor):
     def keys(self):
         return [("dt", self.ki), ("dt", self.kj)]
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         r, var = time_delay_residual(window.keyframes[self.ki].dt_bc,
                                      window.keyframes[self.kj].dt_bc,
                                      self.interval)
@@ -285,7 +285,7 @@ class _CameraFactor(Factor):
 class VisualFactor(_CameraFactor):
     kind = "visual"
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         r, J = pa.visual_pa_residual(self.kfs, self.obs, frames, window.cam_ext,
                                      want_jacobian)
         s = 1.0 / self.sigma_u  # cov = sigma_u^2 I
@@ -297,7 +297,7 @@ class VisualFactor(_CameraFactor):
 class DepthFactor(_CameraFactor):
     kind = "depth"
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         r, J = pa.lidar_depth_pa_residual(self.kfs, self.obs, self.depth, frames,
                                           window.cam_ext, want_jacobian)
         # cov = diag(sigma_u^2, sigma_u^2, 1): the depth row is already whitened
@@ -321,7 +321,7 @@ class LidarPaFactor(Factor):
             out += [("p", k), ("q", k), ("v", k)]
         return out + [("lp", -1), ("lq", -1), ("ldt", -1)]
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         out = pa.lidar_pa_residual(self.cluster, frames, window.lid_ext, want_jacobian)
         s = 1.0 / np.sqrt(out[1][0, 0])  # scalar residual
         if not want_jacobian:
@@ -341,7 +341,7 @@ class F2mFactor(Factor):
         k = self.meas.keyframe_id
         return [("p", k), ("q", k), ("v", k), ("lp", -1), ("lq", -1), ("ldt", -1)]
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         r, J = f2m_pose_residual(frames[self.meas.keyframe_id], window.lid_ext, self.meas,
                                  want_jacobian)
         rw = solve_triangular(self._L, r, lower=True)
@@ -364,7 +364,7 @@ class GaussianPriorFactor(Factor):
     def keys(self):
         return [self.key]
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         d = boxminus(self.key[0], window.get_block(self.key), self.value)
         rw = self._w * d
         if not want_jacobian:
@@ -381,7 +381,7 @@ class MarginalPriorFactor(Factor):
     def keys(self):
         return list(self.info.keys)
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         dx = np.concatenate([
             boxminus(k[0], window.get_block(k), self.info.lin[k]) for k in self.info.keys
         ]) if self.info.keys else np.zeros(0)
@@ -439,7 +439,7 @@ class AssembledProblem:
         total = 0.0
         frames = window.frames()
         for f in self.factors:
-            r, _ = f.evaluate(window, frames)
+            r, _ = f.evaluate(window, frames, False)
             n = float(np.linalg.norm(r))
             total += huber_cost(n, HUBER_DELTA) if f.robust else n * n
         return total
@@ -451,7 +451,7 @@ class AssembledProblem:
         cost = 0.0
         frames = window.frames()
         for f in self.factors:
-            r, J = f.evaluate(window, frames, want_jacobian=True)
+            r, J = f.evaluate(window, frames, True)
             n = float(np.linalg.norm(r))
             if f.robust:
                 cost += huber_cost(n, HUBER_DELTA)
@@ -481,14 +481,13 @@ class SolveStats:
     final_cost: float = 0.0
     converged: bool = False
     failed_trials: int = 0  # trial steps rejected because their cost raised
-    H: np.ndarray | None = None  # normal equations at the solution
 
 
 def lm_solve(problem: AssembledProblem, window: WindowState,
-             max_iterations: int = 30, rel_tol: float = 1e-8) -> SolveStats:
+             max_iterations: int = 30, rel_tol: float = 1e-8):
     """Levenberg-Marquardt on the manifold, updating window in place. A trial
     step whose cost raises a factor-geometry error is rejected like a step
-    that raises the cost."""
+    that raises the cost. Returns (SolveStats, H at the solution)."""
     lam = 1e-6
     stats = SolveStats()
     H, g, cost = problem.linearize(window)
@@ -537,8 +536,7 @@ def lm_solve(problem: AssembledProblem, window: WindowState,
             stats.converged = True
             break
     stats.final_cost = cost
-    stats.H = H
-    return stats
+    return stats, H
 
 
 def _eig_sqrt_info(H, b, floor=1e-10):
@@ -665,7 +663,7 @@ class Estimator:
         self.window = WindowState(copy.deepcopy(cam_ext), copy.deepcopy(lid_ext),
                                   self.cfg.window_size)
         self.map = GlobalPlaneMap()
-        self._imu: list = []
+        self._imu = np.zeros((0, 7))  # the IMU stream, see `set_imu`
         self._next_id = 0
         # the observation table, a row per stored feature: keyframe id, landmark
         # id, entry number (the landmark's place in track order, handed out when
@@ -706,7 +704,10 @@ class Estimator:
     # -- setup ----------------------------------------------------------------
 
     def set_imu(self, samples):
-        self._imu = sorted(samples, key=lambda s: s.timestamp)
+        """The (n, 7) IMU stream, as `io.read_imu_csv` checks and gives it."""
+        if len(samples) < 2:
+            raise ValueError("need at least 2 IMU samples")
+        self._imu = samples
 
     def initialize(self, bundle: FrameBundle, p, q, v, bg=None, ba=None,
                    dt_bc: float = 0.0):
@@ -730,11 +731,10 @@ class Estimator:
                                       self.map)
 
     def _gyro_at(self, t, bg):
-        if not self._imu:
+        if not len(self._imu):
             return np.zeros(3)
-        times = np.array([s.timestamp for s in self._imu])
-        i = int(np.clip(np.searchsorted(times, t), 0, len(self._imu) - 1))
-        return self._imu[i].angular_rate - np.asarray(bg, float)
+        i = min(int(np.searchsorted(self._imu[:, 0], t)), len(self._imu) - 1)
+        return self._imu[i, 1:4] - np.asarray(bg, float)
 
     def _store_measurements(self, kf, bundle: FrameBundle):
         feats = bundle.features
@@ -774,7 +774,7 @@ class Estimator:
         _, pose_pred = poses[-1]
         state = KeyframeState(t_k, pose_pred.t, pose_pred.q, vels[-1],
                               last.bg.copy(), last.ba.copy(), last.dt_bc,
-                              angular_rate=segment[-1].angular_rate - last.bg)
+                              angular_rate=segment[-1, 1:4] - last.bg)
         kf = self._next_id
         self._next_id += 1
         self.window.add(kf, state)
@@ -791,11 +791,11 @@ class Estimator:
                 log.warning("F2M skipped for keyframe %d: %s", kf, exc)
 
         problem = self.build_problem()
-        stats = lm_solve(problem, self.window,
-                         max_iterations=self.cfg.max_iterations,
-                         rel_tol=self.cfg.rel_tol)
+        stats, H = lm_solve(problem, self.window,
+                            max_iterations=self.cfg.max_iterations,
+                            rel_tol=self.cfg.rel_tol)
         self.solve_log.append(stats)
-        self._record_yaw_std(problem, kf, stats.H)
+        self._record_yaw_std(problem, kf, H)
 
         if len(self.window.keyframes) > self.cfg.window_size:
             self.marginalize_oldest(problem)

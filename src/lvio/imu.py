@@ -1,5 +1,9 @@
 """IMU preintegration between keyframes and high-rate INS mechanization.
 
+An IMU stream is an (n, 7) float array of rows (t, gx, gy, gz, ax, ay,
+az): the stamp, the body angular rate in rad/s and the body specific force
+in m/s^2, stamps strictly increasing, as `io.read_imu_csv` gives it.
+
 The preintegrated deltas are expressed in the body frame of the first
 sample and are independent of the global pose, velocity, and gravity.
 Integration uses a midpoint scheme per sample interval; the error state
@@ -13,9 +17,7 @@ are the constants GYRO_BIAS_WALK and ACCEL_BIAS_WALK.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +37,6 @@ from .geometry import (
 GRAVITY_W = np.array([0.0, 0.0, -9.81])
 GYRO_BIAS_WALK = 1.0e-5  # rad/s^2/sqrt(Hz)
 ACCEL_BIAS_WALK = 1.0e-4  # m/s^3/sqrt(Hz)
-_STAMP = attrgetter("timestamp")
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    timestamp: float
-    angular_rate: np.ndarray  # rad/s, body frame
-    specific_force: np.ndarray  # m/s^2, body frame
-
-    def __post_init__(self):
-        object.__setattr__(self, "angular_rate", np.asarray(self.angular_rate, dtype=float))
-        object.__setattr__(self, "specific_force", np.asarray(self.specific_force, dtype=float))
 
 
 @dataclass
@@ -69,8 +59,6 @@ class PreintegratedImu:
     dv_dba: np.ndarray
     dq_dbg: np.ndarray
     covariance: np.ndarray  # 15x15 over (dp, dtheta, dv, dbg, dba)
-    t_start: float = 0.0
-    t_end: float = 0.0
 
     def corrected_deltas(self, bias_g: np.ndarray, bias_a: np.ndarray):
         """First-order bias-corrected deltas at the given biases."""
@@ -82,23 +70,26 @@ class PreintegratedImu:
         return dp, dv, dq
 
 
-def _validate_samples(samples) -> list:
-    samples = list(samples)
+def _intervals(samples, bias_g, bias_a):
+    """The per-interval terms of the midpoint scheme: the interval lengths,
+    the bias-corrected midpoint rates and the bias-corrected specific force
+    of every sample, as arrays."""
     if len(samples) < 2:
         raise ValueError("need at least 2 IMU samples")
-    times = np.array([s.timestamp for s in samples])
-    if np.any(np.diff(times) <= 0.0):
+    dt = np.diff(samples[:, 0])
+    if np.any(dt <= 0.0):
         raise ValueError("IMU samples must be strictly increasing in time")
-    return samples
+    w = samples[:, 1:4]
+    return dt.tolist(), 0.5 * (w[:-1] + w[1:]) - bias_g, samples[:, 4:7] - bias_a
 
 
 def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedImu:
-    """Preintegrate an IMU sample stream at the given linearization biases."""
-    samples = _validate_samples(samples)
+    """Preintegrate an (n, 7) IMU stream at the given linearization biases."""
     bias_g = np.asarray(bias_g, dtype=float)
     bias_a = np.asarray(bias_a, dtype=float)
     if not (np.all(np.isfinite(bias_g)) and np.all(np.isfinite(bias_a))):
         raise ValueError("non-finite bias")
+    dts, w_mids, accs = _intervals(samples, bias_g, bias_a)
 
     dp = np.zeros(3)
     dv = np.zeros(3)
@@ -117,16 +108,12 @@ def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedIm
     sbg2 = GYRO_BIAS_WALK**2
     sba2 = ACCEL_BIAS_WALK**2
 
-    for s0, s1 in zip(samples[:-1], samples[1:]):
-        dt = s1.timestamp - s0.timestamp
-        w_mid = 0.5 * (s0.angular_rate + s1.angular_rate) - bias_g
+    for dt, w_mid, a0, a1 in zip(dts, w_mids, accs[:-1], accs[1:]):
         phi = w_mid * dt
         dq_step = exp_map(phi)
         E = quat_to_matrix(dq_step)
         Jr = so3_right_jacobian(phi)
 
-        a0 = s0.specific_force - bias_a
-        a1 = s1.specific_force - bias_a
         R_new = R @ E
         f_mid = 0.5 * (R @ a0 + R_new @ a1)
 
@@ -183,7 +170,7 @@ def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedIm
         delta_p=dp,
         delta_v=dv,
         delta_q=dq,
-        duration=samples[-1].timestamp - samples[0].timestamp,
+        duration=float(samples[-1, 0] - samples[0, 0]),
         bias_g=bias_g.copy(),
         bias_a=bias_a.copy(),
         dp_dbg=dp_dbg,
@@ -192,13 +179,10 @@ def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedIm
         dv_dba=dv_dba,
         dq_dbg=A,
         covariance=P,
-        t_start=samples[0].timestamp,
-        t_end=samples[-1].timestamp,
     )
 
 
-def preintegration_residual(state_i, state_j, pre: PreintegratedImu,
-                            want_jacobian: bool = False):
+def preintegration_residual(state_i, state_j, pre: PreintegratedImu, want_jacobian: bool):
     """15-vector residual (rp, rtheta, rv, rbg, rba) and its jacobians.
 
     ``state_i``/``state_j`` need attributes timestamp, p, q, v, bg, ba
@@ -264,62 +248,56 @@ def preintegration_residual(state_i, state_j, pre: PreintegratedImu,
 
 
 def mechanize(state, samples):
-    """Forward INS mechanization from a keyframe state through IMU samples.
+    """Forward INS mechanization from a keyframe state through an (n, 7) IMU
+    stream.
 
     Returns (poses, velocities): lists of (timestamp, Pose) and 3-vectors,
     one per sample, starting at the first sample (= state timestamp).
     Uses the same midpoint scheme as :func:`integrate` so that the final
     pose equals the state composed with the preintegrated delta.
     """
-    samples = _validate_samples(samples)
+    dts, w_mids, accs = _intervals(samples, np.asarray(state.bg, dtype=float),
+                                   np.asarray(state.ba, dtype=float))
+    times = samples[:, 0].tolist()
     p = np.asarray(state.p, dtype=float).copy()
     v = np.asarray(state.v, dtype=float).copy()
     q = np.asarray(state.q, dtype=float).copy()
-    bg = np.asarray(state.bg, dtype=float)
-    ba = np.asarray(state.ba, dtype=float)
 
-    poses = [(samples[0].timestamp, Pose(p.copy(), q.copy()))]
+    poses = [(times[0], Pose(p.copy(), q.copy()))]
     vels = [v.copy()]
-    for s0, s1 in zip(samples[:-1], samples[1:]):
-        dt = s1.timestamp - s0.timestamp
-        w_mid = 0.5 * (s0.angular_rate + s1.angular_rate) - bg
+    for t1, dt, w_mid, a0, a1 in zip(times[1:], dts, w_mids, accs[:-1], accs[1:]):
         dq_step = exp_map(w_mid * dt)
         q_new = quat_multiply(q, dq_step)
-        f_mid = 0.5 * (
-            quat_rotate(q, s0.specific_force - ba) + quat_rotate(q_new, s1.specific_force - ba)
-        )
+        f_mid = 0.5 * (quat_rotate(q, a0) + quat_rotate(q_new, a1))
         acc = f_mid + GRAVITY_W
         p = p + v * dt + 0.5 * acc * dt * dt
         v = v + acc * dt
         q = q_new
-        poses.append((s1.timestamp, Pose(p.copy(), q.copy())))
+        poses.append((t1, Pose(p.copy(), q.copy())))
         vels.append(v.copy())
     return poses, vels
 
 
 def slice_samples(samples, t0: float, t1: float):
-    """Slice a time-sorted IMU sample list to [t0, t1], interpolating
-    boundary samples.
+    """The rows of an (n, 7) IMU stream over [t0, t1], an (m, 7) array whose
+    first and last rows are interpolated at t0 and t1 unless a sample falls
+    on them.
 
-    The returned sequence starts exactly at t0 and ends exactly at t1 so
-    preintegration durations match keyframe intervals. The bounds are found
-    by bisection; the stream itself is not copied.
+    The slice starts exactly at t0 and ends exactly at t1 so preintegration
+    durations match keyframe intervals. The bounds are found by bisection.
     """
-    if t0 < samples[0].timestamp - 1e-9 or t1 > samples[-1].timestamp + 1e-9:
+    t = samples[:, 0]
+    if t0 < t[0] - 1e-9 or t1 > t[-1] + 1e-9:
         raise ValueError("requested interval outside the IMU stream")
 
-    def interp(t):
-        i = bisect.bisect_left(samples, t, key=_STAMP)
-        if i < len(samples) and abs(samples[i].timestamp - t) < 1e-12:
+    def interp(s):
+        i = int(np.searchsorted(t, s))
+        if i < len(t) and abs(t[i] - s) < 1e-12:
             return samples[i]
         lo, hi = samples[i - 1], samples[i]
-        a = (t - lo.timestamp) / (hi.timestamp - lo.timestamp)
-        return ImuSample(
-            t,
-            (1 - a) * lo.angular_rate + a * hi.angular_rate,
-            (1 - a) * lo.specific_force + a * hi.specific_force,
-        )
+        a = (s - lo[0]) / (hi[0] - lo[0])
+        return np.concatenate([[s], (1 - a) * lo[1:] + a * hi[1:]])
 
-    i0 = bisect.bisect_right(samples, t0 + 1e-12, key=_STAMP)
-    i1 = bisect.bisect_left(samples, t1 - 1e-12, key=_STAMP)
-    return [interp(t0)] + samples[i0:i1] + [interp(t1)]
+    i0 = np.searchsorted(t, t0 + 1e-12, side="right")
+    i1 = np.searchsorted(t, t1 - 1e-12)
+    return np.vstack([interp(t0), samples[i0:i1], interp(t1)])

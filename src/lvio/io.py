@@ -4,11 +4,12 @@ The sensor streams are CSV tables: a header line naming the columns, then
 one CRLF-terminated row per IMU sample, feature or LiDAR point, with `%.9f`
 stamps, integer ids and `%.12e` values. A feature without LiDAR depth
 leaves `depth` and `depth_sigma` blank; they read as NaN, and present
-ones must be positive. The readers split a table into frames by frame id,
-in order of each id's first row, with that row's stamp, and keep each
-frame's rows in file order:
+ones must be positive; every other value must be finite, and IMU stamps
+strictly increasing, or the reader raises ValueError. The readers split a
+table into frames by frame id, in order of each id's first row, with that
+row's stamp, and keep each frame's rows in file order:
 
-    imu.csv       t,gx,gy,gz,ax,ay,az -> [ImuSample]
+    imu.csv       t,gx,gy,gz,ax,ay,az -> (n, 7) rows, as written
     features.csv  t,frame_id,landmark_id,ux,uy,vx,vy,depth,depth_sigma
                   -> [(stamp, frame_id, rows (n, 7): landmark_id..depth_sigma)]
     clusters.csv  t,frame_id,cluster_id,x,y,z
@@ -20,12 +21,12 @@ frame's rows in file order:
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
 from .geometry import Pose, quat_normalize
-from .imu import ImuSample
 
 _IMU_FMT = "%.9f,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\r\n"
 _FEATURES_FMT = "%.9f,%d,%d,%.12e,%.12e,%.12e,%.12e,%s\r\n"
@@ -39,11 +40,18 @@ def _write_table(path, header, fmt, rows):
 
 
 def _read_table(path, ncols, converters=None):
-    """The rows of a stream as an (n, ncols) float array."""
+    """The rows of a stream as an (n, ncols) float array, every value
+    finite except the NaN the converters give for a blank field."""
     with warnings.catch_warnings():  # a header-only stream has no rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                          usecols=range(ncols), converters=converters)
+        try:
+            t = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                           usecols=range(ncols), converters=converters)
+        except ValueError as exc:  # a short row or a field that is no number
+            raise ValueError(f"{path}: {exc}") from None
+    if not all(np.isfinite(t[:, c]).all() for c in range(ncols) if c not in (converters or {})):
+        raise ValueError(f"{path}: a value is not finite")
+    return t
 
 
 def group_rows(keys):
@@ -56,13 +64,15 @@ def group_rows(keys):
 
 
 def write_imu_csv(path, samples):
-    _write_table(path, "t,gx,gy,gz,ax,ay,az", _IMU_FMT,
-                 ((s.timestamp, *s.angular_rate, *s.specific_force) for s in samples))
+    """samples: the (n, 7) IMU stream."""
+    _write_table(path, "t,gx,gy,gz,ax,ay,az", _IMU_FMT, map(tuple, samples.tolist()))
 
 
 def read_imu_csv(path):
     t = _read_table(path, 7)
-    return [ImuSample(s, g, a) for s, g, a in zip(t[:, 0].tolist(), t[:, 1:4], t[:, 4:7])]
+    if np.any(np.diff(t[:, 0]) <= 0):
+        raise ValueError(f"{path}: IMU stamps are not strictly increasing")
+    return t
 
 
 def write_features_csv(path, frames):
@@ -75,13 +85,17 @@ def write_features_csv(path, frames):
 
 
 def _depth_field(text):
-    return float(text) if text else np.nan
+    """NaN for a blank field, else its value, which must be finite."""
+    if text and not math.isfinite(value := float(text)):
+        raise ValueError(f"{text!r} is not finite")
+    return value if text else np.nan
 
 
 def read_features_csv(path):
     t = _read_table(path, 9, converters={7: _depth_field, 8: _depth_field})
-    if np.any(t[:, 7:] <= 0):  # NaN, an absent depth, compares false
-        raise ValueError(f"{path}: a LiDAR depth or depth_sigma is not positive")
+    # NaN, an absent depth, compares false
+    if np.any(t[:, 7:] <= 0) or np.any(np.isnan(t[:, 7]) != np.isnan(t[:, 8])):
+        raise ValueError(f"{path}: a LiDAR depth or depth_sigma is missing or not positive")
     return [(float(t[r[0], 0]), int(f), t[r, 2:]) for f, r in group_rows(t[:, 1])]
 
 

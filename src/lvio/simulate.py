@@ -25,7 +25,7 @@ from . import io
 from .calibration import CameraImuExtrinsics, LidarImuExtrinsics
 from .factors import PlaneModel
 from .geometry import Pose, exp_map, quat_multiply, quat_to_matrix
-from .imu import GRAVITY_W, ImuSample, mechanize, slice_samples
+from .imu import GRAVITY_W, mechanize, slice_samples
 
 
 @dataclass
@@ -276,32 +276,29 @@ class SensorConfig:
 
 
 def synth_imu(spec: TrajectorySpec, cfg: SensorConfig, rng=None):
-    """IMU stream on the IMU clock: true rates/specific force + bias, plus
-    noise when an rng is given."""
+    """(n, 7) IMU stream on the IMU clock: true rates/specific force + bias,
+    plus noise when an rng is given."""
     dt = 1.0 / cfg.imu_rate
-    n = int(round(spec.duration / dt)) + 1
-    out = []
-    for k in range(n):
+    out = np.zeros((int(round(spec.duration / dt)) + 1, 7))
+    for k, row in enumerate(out):
         t = k * dt
         s = sample_trajectory(spec, min(t, spec.duration))
         R = s["pose"].rotation_matrix()
-        gyro = s["angular_rate"] + cfg.gyro_bias
-        accel = R.T @ (s["acceleration"] - GRAVITY_W) + cfg.accel_bias
-        out.append(ImuSample(t, gyro, accel))
+        row[0] = t
+        row[1:4] = s["angular_rate"] + cfg.gyro_bias
+        row[4:7] = R.T @ (s["acceleration"] - GRAVITY_W) + cfg.accel_bias
     return _add_imu_noise(out, cfg, rng)
 
 
 def _add_imu_noise(samples, cfg: SensorConfig, rng):
-    """White noise on an IMU stream, drawn per sample: gyro, then accel."""
-    sg = cfg.gyro_noise * math.sqrt(cfg.imu_rate)
-    sa = cfg.accel_noise * math.sqrt(cfg.imu_rate)
-    if rng is None or not (sg > 0 or sa > 0):
+    """White noise on an IMU stream, in one draw: each row's gyro noise,
+    then its accel noise, skipping a zero density."""
+    sigmas = np.repeat([cfg.gyro_noise, cfg.accel_noise], 3) * math.sqrt(cfg.imu_rate)
+    cols = np.flatnonzero(sigmas > 0)
+    if rng is None or not len(cols):
         return samples
-    out = []
-    for s in samples:
-        gyro = s.angular_rate + rng.normal(scale=sg, size=3) if sg > 0 else s.angular_rate
-        accel = s.specific_force + rng.normal(scale=sa, size=3) if sa > 0 else s.specific_force
-        out.append(ImuSample(s.timestamp, gyro, accel))
+    out = samples.copy()
+    out[:, cols + 1] += rng.normal(scale=sigmas[cols], size=(len(out), len(cols)))
     return out
 
 
@@ -322,7 +319,7 @@ class DiscreteTruth:
                                 v=s0["velocity"], bg=cfg.gyro_bias,
                                 ba=cfg.accel_bias)
         self.poses, self.velocities = mechanize(state, self.samples)
-        self.times = np.array([t for t, _ in self.poses])
+        self.times = self.samples[:, 0].copy()
 
     def state_at(self, t: float):
         """(Pose, velocity) at t: exact on the sample grid, one partial

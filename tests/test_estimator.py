@@ -25,7 +25,6 @@ from lvio.estimator import (
     robust_weight,
 )
 from lvio.geometry import Pose, exp_map, quat_multiply, quat_rotate
-from lvio.imu import ImuSample
 from lvio.io import read_clusters_csv, read_tum
 from lvio.simulate import simulate_scenario
 
@@ -76,7 +75,7 @@ def test_lm_solve_matches_weighted_mean():
     factors = [GaussianPriorFactor(("p", 0), a, sa),
                GaussianPriorFactor(("p", 0), b, sb)]
     problem = AssembledProblem([("p", 0)], factors)
-    stats = lm_solve(problem, win)
+    stats, _ = lm_solve(problem, win)
     wa, wb = 1.0 / sa**2, 1.0 / sb**2
     expect = (wa * a + wb * b) / (wa + wb)
     assert stats.converged
@@ -89,7 +88,7 @@ def test_lm_solve_rotation_prior():
     target = exp_map(np.array([0.1, -0.2, 0.3]))
     problem = AssembledProblem([("q", 0)],
                                [GaussianPriorFactor(("q", 0), target, 0.01)])
-    stats = lm_solve(problem, win)
+    stats, _ = lm_solve(problem, win)
     assert stats.converged
     assert np.max(np.abs(win.keyframes[0].q - target)) < 1e-9
 
@@ -103,7 +102,7 @@ class WallFactor(Factor):
     def keys(self):
         return [("p", 0)]
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         p = window.keyframes[0].p
         if p[0] > 0.5:
             raise pa.CheiralityError("past the wall")
@@ -113,7 +112,7 @@ class WallFactor(Factor):
 
 def test_lm_solve_rejects_a_trial_step_whose_cost_raises():
     win = fresh_window()
-    stats = lm_solve(AssembledProblem([("p", 0)], [WallFactor()]), win)
+    stats, _ = lm_solve(AssembledProblem([("p", 0)], [WallFactor()]), win)
     # the undamped step lands at x = 1: rejected, then damped steps approach the wall
     assert stats.failed_trials > 0
     assert 0.4 < win.keyframes[0].p[0] <= 0.5
@@ -178,7 +177,7 @@ class RelPosFactor(Factor):
     def keys(self):
         return [("p", self.ki), ("p", self.kj)]
 
-    def evaluate(self, window, frames, want_jacobian=False):
+    def evaluate(self, window, frames, want_jacobian):
         r = self.s * (window.keyframes[self.kj].p - window.keyframes[self.ki].p - self.z)
         if not want_jacobian:
             return r, None
@@ -363,8 +362,7 @@ def test_marg_f2m_mode_keeps_f2m_information(full_run):
 
 def static_imu(rate=100.0, duration=1.0):
     n = int(duration * rate) + 1
-    return [ImuSample(k / rate, np.zeros(3), np.array([0.0, 0, 9.81]))
-            for k in range(n)]
+    return np.column_stack([np.arange(n) / rate, np.zeros((n, 5)), np.full(n, 9.81)])
 
 
 def test_two_keyframes_no_measurements_factor_counts():
@@ -392,8 +390,8 @@ def three_frame_run(mode="full", depth=np.nan):
     that see landmark 77 at (1, 3, 0.5) in each frame; the first frame's
     feature row carries the given LiDAR depth."""
     est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig(mode=mode))
-    est.set_imu([ImuSample(k / 100.0, np.zeros(3), np.array([0.5, 0, 9.81]))
-                 for k in range(101)])
+    est.set_imu(np.column_stack([np.arange(101) / 100.0, np.zeros((101, 3)),
+                                 np.full(101, 0.5), np.zeros(101), np.full(101, 9.81)]))
     X = np.array([1.0, 3.0, 0.5])
 
     def bundle(t, d=np.nan):
@@ -405,6 +403,19 @@ def three_frame_run(mode="full", depth=np.nan):
     est.process_frame(bundle(0.3))
     est.process_frame(bundle(0.6))
     return est
+
+
+def test_solve_log_holds_no_arrays():
+    est = three_frame_run()
+    assert len(est.solve_log) == 2 and est.solve_log[-1].iterations > 0
+    assert not any(isinstance(v, np.ndarray) for s in est.solve_log for v in vars(s).values())
+
+
+def test_set_imu_rejects_a_stream_of_fewer_than_two_samples():
+    est = Estimator(IDENT_CAM, IDENT_LID, EstimatorConfig())
+    for n in (0, 1):
+        with pytest.raises(ValueError, match="IMU"):
+            est.set_imu(static_imu()[:n])
 
 
 def test_track_in_three_frames_gives_two_visual_factors():

@@ -1,12 +1,15 @@
+import bisect
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
-from dataclasses import dataclass, field
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lvio.geometry import Pose, exp_map, log_map, quat_conjugate, quat_multiply, quat_rotate
 from lvio.imu import (
     GRAVITY_W,
     ImuNoiseConfig,
-    ImuSample,
     integrate,
     mechanize,
     preintegration_residual,
@@ -28,7 +31,7 @@ class State:
 
 def make_samples(duration, rate, gyro_fn, accel_fn):
     ts = np.arange(0.0, duration + 1e-12, 1.0 / rate)
-    return [ImuSample(t, gyro_fn(t), accel_fn(t)) for t in ts]
+    return np.array([[t, *gyro_fn(t), *accel_fn(t)] for t in ts])
 
 
 NOISE = ImuNoiseConfig()
@@ -57,10 +60,13 @@ def test_integrate_constant_force():
 
 def test_integrate_rejects_bad_input():
     with pytest.raises(ValueError):
-        integrate([ImuSample(0, np.zeros(3), np.zeros(3))], np.zeros(3), np.zeros(3), NOISE)
-    s = [ImuSample(0.1, np.zeros(3), np.zeros(3)), ImuSample(0.0, np.zeros(3), np.zeros(3))]
+        integrate(np.zeros((1, 7)), np.zeros(3), np.zeros(3), NOISE)
+    s = np.zeros((2, 7))
+    s[0, 0] = 0.1
     with pytest.raises(ValueError):
         integrate(s, np.zeros(3), np.zeros(3), NOISE)
+    with pytest.raises(ValueError):
+        mechanize(State(0.0, np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3)), s)
 
 
 def _wavy_samples(rng=None, duration=0.5, rate=400):
@@ -104,7 +110,7 @@ def test_residual_self_consistency(rng):
     s0 = State(0.0, np.array([1.0, 2, 3]), rand_quat(rng), np.array([0.5, -0.1, 0.2]))
     s1 = _states_from_mechanization(samples, s0)
     pre = integrate(samples, np.zeros(3), np.zeros(3), NOISE)
-    r, _ = preintegration_residual(s0, s1, pre)
+    r, _ = preintegration_residual(s0, s1, pre, False)
     assert np.linalg.norm(r) < 1e-8
 
 
@@ -114,7 +120,7 @@ def test_residual_position_perturbation(rng):
     s1 = _states_from_mechanization(samples, s0)
     pre = integrate(samples, np.zeros(3), np.zeros(3), NOISE)
     s1p = State(s1.timestamp, s1.p + np.array([0.1, 0, 0]), s1.q, s1.v)
-    r, _ = preintegration_residual(s0, s1p, pre)
+    r, _ = preintegration_residual(s0, s1p, pre, False)
     Ri = np.eye(3)
     np.testing.assert_allclose(r[0:3], Ri.T @ np.array([0.1, 0, 0]), atol=1e-8)
 
@@ -125,7 +131,7 @@ def test_residual_duration_mismatch():
     s1 = State(0.6, np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3))
     pre = integrate(samples, np.zeros(3), np.zeros(3), NOISE)
     with pytest.raises(ValueError):
-        preintegration_residual(s0, s1, pre)
+        preintegration_residual(s0, s1, pre, False)
 
 
 def test_bias_jacobian_matches_finite_difference(rng):
@@ -165,7 +171,7 @@ def test_residual_jacobians_match_fd(rng):
             rng.normal(size=3) * 1e-2,
         )
         s1 = State(
-            samples[-1].timestamp,
+            samples[-1, 0],
             rng.normal(size=3),
             rand_quat(rng),
             rng.normal(size=3),
@@ -173,13 +179,13 @@ def test_residual_jacobians_match_fd(rng):
             s0.ba + rng.normal(size=3) * 1e-3,
         )
         pre = integrate(samples, s0.bg, s0.ba, NOISE)
-        _, J = preintegration_residual(s0, s1, pre, want_jacobian=True)
+        _, J = preintegration_residual(s0, s1, pre, True)
 
         Jfd_i = fd_jacobian(
-            lambda d: preintegration_residual(_perturbed_state(s0, d), s1, pre)[0], 15
+            lambda d: preintegration_residual(_perturbed_state(s0, d), s1, pre, False)[0], 15
         )
         Jfd_j = fd_jacobian(
-            lambda d: preintegration_residual(s0, _perturbed_state(s1, d), pre)[0], 15
+            lambda d: preintegration_residual(s0, _perturbed_state(s1, d), pre, False)[0], 15
         )
         Ja_i = np.hstack([J["p_i"], J["q_i"], J["v_i"], J["bg_i"], J["ba_i"]])
         Ja_j = np.hstack([J["p_j"], J["q_j"], J["v_j"], J["bg_j"], J["ba_j"]])
@@ -227,19 +233,55 @@ def test_mechanize_matches_preintegration(rng):
 def test_slice_samples_interpolates_boundaries():
     samples = _wavy_samples(duration=1.0)
     part = slice_samples(samples, 0.1234, 0.789)
-    assert abs(part[0].timestamp - 0.1234) < 1e-12
-    assert abs(part[-1].timestamp - 0.789) < 1e-12
-    times = [s.timestamp for s in part]
-    assert all(b > a for a, b in zip(times, times[1:]))
+    assert part.shape[1] == 7
+    assert abs(part[0, 0] - 0.1234) < 1e-12
+    assert abs(part[-1, 0] - 0.789) < 1e-12
+    assert np.all(np.diff(part[:, 0]) > 0)
 
 
 def test_slice_samples_bounds_on_samples():
     samples = _wavy_samples(duration=1.0)
-    part = slice_samples(samples, samples[40].timestamp, samples[300].timestamp)
+    part = slice_samples(samples, samples[40, 0], samples[300, 0])
     # both ends fall on samples: they are returned as is, nothing interpolated
-    assert len(part) == 261
-    assert all(a is b for a, b in zip(part, samples[40:301]))
+    assert np.array_equal(part, samples[40:301])
     with pytest.raises(ValueError):
         slice_samples(samples, -0.1, 0.5)
     with pytest.raises(ValueError):
-        slice_samples(samples, 0.5, samples[-1].timestamp + 0.1)
+        slice_samples(samples, 0.5, samples[-1, 0] + 0.1)
+
+
+def reference_slice(samples, t0, t1):
+    """slice_samples over a list of rows with `bisect`, as it was written for
+    a list of per-sample records."""
+    rows = list(samples)
+    times = samples[:, 0].tolist()
+
+    def interp(t):
+        i = bisect.bisect_left(times, t)
+        if i < len(rows) and abs(times[i] - t) < 1e-12:
+            return rows[i]
+        lo, hi = rows[i - 1], rows[i]
+        a = (t - times[i - 1]) / (times[i] - times[i - 1])
+        return np.concatenate([[t], (1 - a) * lo[1:4] + a * hi[1:4],
+                               (1 - a) * lo[4:7] + a * hi[4:7]])
+
+    i0 = bisect.bisect_right(times, t0 + 1e-12)
+    i1 = bisect.bisect_left(times, t1 - 1e-12)
+    return np.array([interp(t0)] + rows[i0:i1] + [interp(t1)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.data())
+def test_slice_samples_matches_bisect_reference(n, seed, data):
+    rng = np.random.default_rng(seed)
+    samples = np.column_stack([np.cumsum(rng.uniform(1e-3, 1e-2, n)), rng.normal(size=(n, 6))])
+    t = samples[:, 0]
+
+    def bound():  # on the sample grid (both ends included) or between samples
+        if data.draw(st.booleans()):
+            return float(t[data.draw(st.integers(0, n - 1))])
+        return data.draw(st.floats(float(t[0]), float(t[-1])))
+
+    t0, t1 = sorted((bound(), bound()))
+    got, ref = slice_samples(samples, t0, t1), reference_slice(samples, t0, t1)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()

@@ -11,7 +11,7 @@ import pytest
 
 from lvio import io
 from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
-from lvio.cli import build_bundles
+from lvio.cli import build_bundles, main
 from lvio.estimator import Estimator, EstimatorConfig
 from lvio.simulate import (
     DiscreteTruth,
@@ -30,10 +30,8 @@ def reference_imu_csv(path, samples):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["t", "gx", "gy", "gz", "ax", "ay", "az"])
-        for s in samples:
-            w.writerow([f"{s.timestamp:.9f}"]
-                       + [f"{x:.12e}" for x in s.angular_rate]
-                       + [f"{x:.12e}" for x in s.specific_force])
+        for t, *values in samples:
+            w.writerow([f"{t:.9f}"] + [f"{x:.12e}" for x in values])
 
 
 def reference_features_csv(path, frames):
@@ -125,11 +123,11 @@ def test_clusters_csv_round_trips_byte_for_byte(tmp_path, streams):
 
 
 def test_header_only_streams_have_no_frames(tmp_path):
-    io.write_imu_csv(tmp_path / "imu.csv", [])
+    io.write_imu_csv(tmp_path / "imu.csv", np.zeros((0, 7)))
     io.write_features_csv(tmp_path / "features.csv", [])
     io.write_clusters_csv(tmp_path / "clusters.csv", [])
     assert (tmp_path / "clusters.csv").read_bytes() == b"t,frame_id,cluster_id,x,y,z\r\n"
-    assert io.read_imu_csv(tmp_path / "imu.csv") == []
+    assert io.read_imu_csv(tmp_path / "imu.csv").shape == (0, 7)
     assert io.read_features_csv(tmp_path / "features.csv") == []
     assert io.read_clusters_csv(tmp_path / "clusters.csv") == []
 
@@ -205,3 +203,52 @@ def test_build_bundles_hands_cluster_points_to_the_estimator(tmp_path):
     for cid, idx in ((4, [0, 2]), (2, [1, 4]), (9, [3])):
         assert list(groups[cid]) == [0]
         np.testing.assert_array_equal(groups[cid][0], pts[idx])
+
+
+# -- malformed streams: a reader raises, `lvio run` reports it -------------------
+
+
+@pytest.mark.parametrize("fault", ["nan value", "repeated stamp", "six fields"])
+def test_run_reports_a_malformed_imu_csv(tmp_path, capsys, fault):
+    samples = np.column_stack([np.arange(5) * 0.01, np.ones((5, 6))])
+    if fault == "nan value":
+        samples[2, 4] = np.nan
+    if fault == "repeated stamp":
+        samples[3, 0] = samples[2, 0]
+    io.write_imu_csv(tmp_path / "imu.csv", samples)
+    if fault == "six fields":
+        lines = (tmp_path / "imu.csv").read_bytes().split(b"\r\n")
+        lines[3] = lines[3].rsplit(b",", 1)[0]
+        (tmp_path / "imu.csv").write_bytes(b"\r\n".join(lines))
+    with pytest.raises(ValueError, match="imu.csv"):
+        io.read_imu_csv(tmp_path / "imu.csv")
+    assert main(["run", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "imu.csv" in err
+
+
+@pytest.mark.parametrize("row", [
+    b"0.0,0,1,nan,0.2,0.0,0.0,,\r\n",  # a bearing
+    b"0.0,0,1,0.1,0.2,inf,0.0,,\r\n",  # a feature velocity
+    b"0.0,0,1,0.1,0.2,0.0,0.0,nan,0.05\r\n",  # a depth
+    b"0.0,0,1,0.1,0.2,0.0,0.0,4.5,inf\r\n",  # a depth sigma
+    b"0.0,0,1,0.1,0.2,0.0,0.0,4.5,\r\n",  # a depth without its sigma
+])
+def test_features_csv_rejects_a_non_finite_value(tmp_path, row):
+    header = b"t,frame_id,landmark_id,ux,uy,vx,vy,depth,depth_sigma\r\n"
+    (tmp_path / "f.csv").write_bytes(header + b"0.0,0,2,0.1,0.2,0.0,0.0,,\r\n" + row)
+    with pytest.raises(ValueError, match="f.csv"):
+        io.read_features_csv(tmp_path / "f.csv")
+    # the same file without the bad row reads, its blank depth fields as NaN
+    (tmp_path / "f.csv").write_bytes(header + b"0.0,0,2,0.1,0.2,0.0,0.0,,\r\n")
+    [(_, _, rows)] = io.read_features_csv(tmp_path / "f.csv")
+    assert np.isnan(rows[0, 5:]).all() and np.isfinite(rows[0, :5]).all()
+
+
+@pytest.mark.parametrize("value", [b"nan", b"inf", b"-inf"])
+def test_clusters_csv_rejects_a_non_finite_value(tmp_path, value):
+    path = tmp_path / "c.csv"
+    path.write_bytes(b"t,frame_id,cluster_id,x,y,z\r\n0.0,0,1,1,2,3\r\n0.0,0,1,1," + value
+                     + b",3\r\n")
+    with pytest.raises(ValueError, match="not finite"):
+        io.read_clusters_csv(path)

@@ -12,6 +12,7 @@ from lvio.simulate import (
     SensorConfig,
     TrajectorySpec,
     WorldModel,
+    _add_imu_noise,
     make_circle_spec,
     make_wiggle_spec,
     make_world,
@@ -106,10 +107,9 @@ def test_static_imu_reads_bias_and_gravity():
     ba = np.array([0.1, 0.0, -0.05])
     cfg = SensorConfig(imu_rate=100.0, cam_rate=5.0, gyro_bias=bg, accel_bias=ba)
     samples = synth_imu(STATIC, cfg)
-    assert len(samples) == 201
-    for s in samples[::40]:
-        assert np.allclose(s.angular_rate, bg)
-        assert np.allclose(s.specific_force, np.array([0, 0, 9.81]) + ba)
+    assert samples.shape == (201, 7)
+    assert np.allclose(samples[:, 1:4], bg)
+    assert np.allclose(samples[:, 4:7], np.array([0, 0, 9.81]) + ba)
 
 
 def test_imu_noise_requires_rng_and_is_reproducible():
@@ -119,10 +119,33 @@ def test_imu_noise_requires_rng_and_is_reproducible():
     clean = synth_imu(spec, cfg)
     a = synth_imu(spec, cfg, rng=np.random.default_rng(7))
     b = synth_imu(spec, cfg, rng=np.random.default_rng(7))
-    assert any(np.any(x.angular_rate != y.angular_rate) for x, y in zip(clean, a))
-    for x, y in zip(a, b):
-        assert np.array_equal(x.angular_rate, y.angular_rate)
-        assert np.array_equal(x.specific_force, y.specific_force)
+    assert np.any(clean[:, 1:4] != a[:, 1:4]) and np.any(clean[:, 4:7] != a[:, 4:7])
+    assert np.array_equal(clean[:, 0], a[:, 0])
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("gyro_noise, accel_noise",
+                         [(1e-3, 1e-2), (0.0, 1e-2), (1e-3, 0.0), (0.0, 0.0)])
+def test_imu_noise_equals_per_sample_draws(gyro_noise, accel_noise):
+    """One draw for the whole stream gives the noise that drawing each
+    sample's gyro and then accel noise gives, bit for bit, and leaves the
+    generator at the same state."""
+    cfg = SensorConfig(imu_rate=100.0, cam_rate=5.0, gyro_noise=gyro_noise,
+                       accel_noise=accel_noise)
+    clean = synth_imu(make_wiggle_spec(1.0), cfg)
+    rng = np.random.default_rng(7)
+    noisy = _add_imu_noise(clean, cfg, rng)
+
+    ref_rng = np.random.default_rng(7)
+    sg, sa = gyro_noise * math.sqrt(100.0), accel_noise * math.sqrt(100.0)
+    ref = []
+    for t, *gyro, ax, ay, az in clean.tolist():
+        gyro = np.array(gyro) + ref_rng.normal(scale=sg, size=3) if sg > 0 else gyro
+        accel = np.array([ax, ay, az])
+        accel = accel + ref_rng.normal(scale=sa, size=3) if sa > 0 else accel
+        ref.append([t, *gyro, *accel])
+    assert noisy.tobytes() == np.array(ref).tobytes()
+    assert rng.normal() == ref_rng.normal()
 
 
 def test_imu_rate_floor_enforced():
