@@ -832,8 +832,7 @@ class Estimator:
         entry order: its observation-table rows (in keyframe order), its
         anchors, and its LiDAR depth (d, sigma) when the keyframe of the
         depth is still in the window, else None."""
-        poses = {k: pa.camera_pose_from_state(s.pose(), self.window.cam_ext)
-                 for k, s in self.window.keyframes.items()}
+        frames = self.window.frames()
         order = np.argsort(self._obs_entry, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(self._obs_entry[order])) + 1)
         tracks = []
@@ -842,9 +841,9 @@ class Estimator:
             if len(kfs) < 2:
                 continue
             depth = self._depths.get(int(self._obs_lm[rows[0]]))
-            zeta = depth[0] if depth is not None and depth[0] in poses else None
+            zeta = depth[0] if depth is not None and depth[0] in frames else None
             try:
-                z, e = pa.select_anchors(kfs, self._obs[rows, :3], poses, zeta)
+                z, e = pa.select_anchors(kfs, self._obs[rows, :3], frames, zeta)
             except pa.DegenerateParallaxError:
                 continue
             tracks.append((rows, z, e, None if zeta is None else depth[1:]))

@@ -49,7 +49,7 @@ from .calibration import (
     compensate_feature,
     compensate_lidar_pose,
 )
-from .geometry import Pose, cross3, quat_to_matrix, skew
+from .geometry import cross3, quat_to_matrix, skew
 
 # Parallax below this is treated as degenerate and the factor is skipped.
 THETA_MIN = 1e-3
@@ -135,11 +135,6 @@ def keyframe_frames(state, cam_ext: CameraImuExtrinsics, lid_ext: LidarImuExtrin
                           state.dt_bc - dthat_br, state.v, state.angular_rate, lidar)
 
 
-def camera_pose_from_state(body: Pose, ext: CameraImuExtrinsics) -> Pose:
-    """World camera pose from body pose and camera-IMU extrinsics."""
-    return body.compose(ext.pose())
-
-
 def pose_only_depth(uz, ue, Rz, tz, Re, te):
     """Pose-only depth of the landmark along m = Rz uz from camera zeta
     (Rz, tz), anchored by camera eta (Re, te), and the parallax.
@@ -158,8 +153,9 @@ def pose_only_depth(uz, ue, Rz, tz, Re, te):
     return d, nt, m, (ue, Re, p_ez, a, na, s, tv, nt)
 
 
-def select_anchors(kfs: list, p_u: np.ndarray, camera_poses: dict, zeta: int | None):
-    """(zeta, eta) for a track seen at keyframes kfs with (m, 3) bearings p_u.
+def select_anchors(kfs: list, p_u: np.ndarray, frames: dict, zeta: int | None):
+    """(zeta, eta) for a track seen at keyframes kfs with (m, 3) bearings p_u,
+    from the camera frames (Rc, tc) of the keyframe table frames.
 
     zeta is the given frame (the LiDAR-depth frame) or, when None, the first
     observation; eta is the observing frame maximizing the parallax with
@@ -168,14 +164,13 @@ def select_anchors(kfs: list, p_u: np.ndarray, camera_poses: dict, zeta: int | N
     if zeta is None:
         zeta = kfs[0]
     uz = p_u[kfs.index(zeta)]
-    pz = camera_poses[zeta]
-    Rz = pz.rotation_matrix()
+    fz = frames[zeta]
     best, best_theta = None, -1.0
     for k, ue in zip(kfs, p_u):
         if k == zeta:
             continue
-        pe = camera_poses[k]
-        _, theta, _, _ = pose_only_depth(uz, ue, Rz, pz.t, pe.rotation_matrix(), pe.t)
+        fe = frames[k]
+        _, theta, _, _ = pose_only_depth(uz, ue, fz.Rc, fz.tc, fe.Rc, fe.tc)
         if theta > best_theta:
             best, best_theta = k, theta
     if best is None or best_theta < THETA_MIN:

@@ -106,12 +106,12 @@ def _visual_case(rng, with_depth):
         body = Pose(np.array([0.6 * k, 0.1 * k, 0.05 * k]),
                     exp_map(np.array([0.02 * k, -0.03 * k, 0.05 * k])))
         poses[k] = body
-        cam = pa.camera_pose_from_state(body, ext)
+        cam = body.compose(ext.pose())
         x = cam.rotation_matrix().T @ (X - cam.t)
         rows.append([x[0] / x[2], x[1] / x[2], 1.0, *(rng.normal(size=2) * 0.3)])
     depth = None
     if with_depth:
-        cam0 = pa.camera_pose_from_state(poses[0], ext)
+        cam0 = poses[0].compose(ext.pose())
         x0 = cam0.rotation_matrix().T @ (X - cam0.t)
         if x0[2] <= 0.1:
             raise pa.CheiralityError("landmark behind the depth camera")

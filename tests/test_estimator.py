@@ -438,7 +438,7 @@ def test_vio_mode_stores_no_lidar_depth():
 # -- the observation table ---------------------------------------------------------
 
 
-def reference_tracks(observations, depths, poses, max_tracks):
+def reference_tracks(observations, depths, frames, max_tracks):
     """_tracks_in_window over a dict of lists landmark -> [(kf, p_u)] kept in
     first-sighting order: [(landmark, kfs, zeta, eta, depth)]."""
     tracks = []
@@ -446,10 +446,10 @@ def reference_tracks(observations, depths, poses, max_tracks):
         if len(obs) < 2:
             continue
         depth = depths.get(lm)
-        zeta = depth[0] if depth is not None and depth[0] in poses else None
+        zeta = depth[0] if depth is not None and depth[0] in frames else None
         kfs = [k for k, _ in obs]
         try:
-            z, e = pa.select_anchors(kfs, np.array([p for _, p in obs]), poses, zeta)
+            z, e = pa.select_anchors(kfs, np.array([p for _, p in obs]), frames, zeta)
         except pa.DegenerateParallaxError:
             continue
         tracks.append((lm, kfs, z, e, None if zeta is None else depth[1:]))
@@ -486,8 +486,7 @@ def test_tracks_in_window_match_dict_of_lists_reference(frames, landmarks, max_t
                 depths.setdefault(lm, (kf, x[2], 0.05))
         est._store_measurements(kf, FrameBundle(0.1 * kf, np.array(rows).reshape(-1, 7)))
 
-        poses = {k: s.pose() for k, s in est.window.keyframes.items()}
-        want = reference_tracks(observations, depths, poses, max_tracks)
+        want = reference_tracks(observations, depths, est.window.frames(), max_tracks)
         got = [(int(est._obs_lm[rows[0]]), est._obs_kf[rows].tolist(), z, e, depth)
                for rows, z, e, depth in est._tracks_in_window()]
         assert got == want

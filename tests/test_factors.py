@@ -9,7 +9,6 @@ from lvio.factors import (
     PlaneCluster,
     PlaneFitError,
     PlaneModel,
-    camera_pose_from_state,
     fit_plane,
     lidar_depth_pa_residual,
     lidar_pa_residual,
@@ -51,30 +50,37 @@ def lidar_table(poses, ext=IDENT_LEXT, dt_br=0.0, dthat_br=0.0, v=None, w=None):
     return keyframe_table(poses, IDENT_EXT, lid, dthat_br, v=v, w=w)
 
 
-# ---------------------------------------------------------------- camera pose
+# ---------------------------------------------------------------- camera frame
+
+
+def camera_frame(body, ext):
+    """(Rc, tc) of a body pose, as `keyframe_frames` derives them."""
+    f = cam_table({0: body}, ext)[0]
+    return f.Rc, f.tc
 
 
 def test_camera_pose_rotation_only(rng):
     ext = CameraImuExtrinsics(np.zeros(3), rand_quat(rng))
-    cam = camera_pose_from_state(Pose.identity(), ext)
-    np.testing.assert_allclose(cam.t, 0, atol=1e-15)
-    np.testing.assert_allclose(cam.q, ext.q_cb, atol=1e-15)
+    Rc, tc = camera_frame(Pose.identity(), ext)
+    np.testing.assert_allclose(tc, 0, atol=1e-15)
+    np.testing.assert_allclose(Rc, Pose.identity().compose(ext.pose()).rotation_matrix(),
+                               atol=1e-15)
 
 
 def test_camera_pose_lever_arm():
     ext = CameraImuExtrinsics(np.array([0.1, 0, 0]), np.array([1.0, 0, 0, 0]))
     body = Pose(np.array([1.0, 2, 3]), np.array([1.0, 0, 0, 0]))
-    cam = camera_pose_from_state(body, ext)
-    np.testing.assert_allclose(cam.t, [1.1, 2, 3], atol=1e-15)
+    _, tc = camera_frame(body, ext)
+    np.testing.assert_allclose(tc, [1.1, 2, 3], atol=1e-15)
 
 
 def test_camera_pose_is_composition(rng):
     body, ext_pose = rand_pose(rng), rand_pose(rng)
     ext = CameraImuExtrinsics(ext_pose.t, ext_pose.q)
-    cam = camera_pose_from_state(body, ext)
+    Rc, tc = camera_frame(body, ext)
     expected = body.compose(ext_pose)
-    np.testing.assert_allclose(cam.t, expected.t, atol=1e-12)
-    np.testing.assert_allclose(cam.q, expected.q, atol=1e-12)
+    np.testing.assert_allclose(tc, expected.t, atol=1e-12)
+    np.testing.assert_allclose(Rc, expected.rotation_matrix(), atol=1e-12)
 
 
 # ---------------------------------------------------------------- depth (Eq. 3)
@@ -142,7 +148,7 @@ def test_pose_only_depth_matches_triangulation(rng):
 def test_select_anchors_two_observations():
     p_u = np.array([[0.0, 0.0, 1.0], [-0.2, 0.0, 1.0]])
     poses = {0: Pose.identity(), 1: Pose(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]))}
-    z, e = select_anchors([0, 1], p_u, poses, None)
+    z, e = select_anchors([0, 1], p_u, cam_table(poses), None)
     assert (z, e) == (0, 1)
 
 
@@ -151,21 +157,22 @@ def test_select_anchors_max_parallax():
     X = np.array([0.0, 0.0, 5.0])
     poses = {k: Pose(np.array([0.5 * k, 0, 0]), np.array([1.0, 0, 0, 0])) for k in range(4)}
     x = np.array([pose.rotation_matrix().T @ (X - pose.t) for pose in poses.values()])
-    z, e = select_anchors(list(poses), x / x[:, 2:], poses, None)
+    z, e = select_anchors(list(poses), x / x[:, 2:], cam_table(poses), None)
     assert z == 0 and e == 3
 
 
 def test_select_anchors_prefers_depth_frame():
     p_u = np.array([[0.0, 0.0, 1.0], [-0.1, 0.0, 1.0], [-0.2, 0.0, 1.0]])
     poses = {k: Pose(np.array([0.5 * k, 0, 0]), np.array([1.0, 0, 0, 0])) for k in (1, 2, 3)}
-    z, _ = select_anchors([1, 2, 3], p_u, poses, 2)
+    z, _ = select_anchors([1, 2, 3], p_u, cam_table(poses), 2)
     assert z == 2
 
 
 def test_select_anchors_degenerate_parallax():
     p_u = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
     with pytest.raises(DegenerateParallaxError):
-        select_anchors([0, 1], p_u, {0: Pose.identity(), 1: Pose.identity()}, None)
+        select_anchors([0, 1], p_u, cam_table({0: Pose.identity(), 1: Pose.identity()}),
+                       None)
 
 
 # ---------------------------------------------------------------- plane fit
@@ -217,12 +224,12 @@ def synthetic_visual_setup(rng, n_frames=3, ext=None, depth_frame=None):
             exp_map(np.array([0.02 * k, -0.03 * k, 0.05 * k])),
         )
         body_poses[k] = body
-        cam = camera_pose_from_state(body, ext)
+        cam = body.compose(ext.pose())
         x = cam.rotation_matrix().T @ (X - cam.t)
         observations.append(obs(x[0] / x[2], x[1] / x[2]))
     depth = None
     if depth_frame is not None:
-        camz = camera_pose_from_state(body_poses[depth_frame], ext)
+        camz = body_poses[depth_frame].compose(ext.pose())
         xz = camz.rotation_matrix().T @ (X - camz.t)
         if xz[2] <= 0.1:
             raise CheiralityError("landmark behind synthetic depth camera")
