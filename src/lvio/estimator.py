@@ -484,7 +484,7 @@ class SolveStats:
 
 
 def lm_solve(problem: AssembledProblem, window: WindowState,
-             max_iterations: int = 30, rel_tol: float = 1e-8):
+             max_iterations: int = 30, rel_tol: float = 1e-8) -> tuple[SolveStats, np.ndarray]:
     """Levenberg-Marquardt on the manifold, updating window in place. A trial
     step whose cost raises a factor-geometry error is rejected like a step
     that raises the cost. Returns (SolveStats, H at the solution)."""
