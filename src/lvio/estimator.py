@@ -19,7 +19,10 @@ unless the "marg_f2m" ablation keeps it.
 Each Factor wraps one pure residual function and whitens its output with
 noise the factor holds itself: the pixel sigma for the camera factors, a
 Cholesky factor of the preintegration or F2M covariance built once, and
-the variance that the LiDAR plane and time-delay residuals return. Every
+the variance that the LiDAR plane and time-delay residuals return. A
+factor's jacobian is one (len(r), n) matrix whose columns follow its
+keys(), and `AssembledProblem` maps those columns to state columns once per
+problem, so a linearize pass only evaluates, weights and scatters. Every
 cost or linearize pass builds one keyframe table, `WindowState.frames()`:
 each keyframe's body, camera and LiDAR-instant frames, derived once by
 `factors.keyframe_frames` from its state, the window's extrinsics and its
@@ -49,6 +52,7 @@ from .f2m import (
     F2mPoseMeasurement,
     GlobalPlaneMap,
     estimate_f2m_pose,
+    f2m_keys,
     f2m_pose_residual,
     insert_marginalized_frame,
 )
@@ -56,6 +60,7 @@ from .geometry import Pose, exp_map, log_map, quat_conjugate, quat_multiply, qua
 from .imu import (
     ImuNoiseConfig,
     PreintegratedImu,
+    imu_keys,
     integrate,
     mechanize,
     preintegration_residual,
@@ -209,11 +214,14 @@ class Factor:
     robust = False
 
     def keys(self):
+        """The parameter blocks the factor touches, in the column order of
+        its jacobian."""
         raise NotImplementedError
 
     def evaluate(self, window: WindowState, frames: dict, want_jacobian: bool):
-        """Whitened residual (and jacobian blocks keyed like the window);
-        frames is the pass's `WindowState.frames()` table."""
+        """(whitened residual r, whitened jacobian J or None): J is one
+        (len(r), sum of the dimensions of keys()) array whose columns follow
+        keys(). frames is the pass's `WindowState.frames()` table."""
         raise NotImplementedError
 
 
@@ -226,22 +234,13 @@ class ImuFactor(Factor):
         self._L = cholesky(cov, lower=True)
 
     def keys(self):
-        out = []
-        for k in (self.ki, self.kj):
-            out += [("p", k), ("q", k), ("v", k), ("bg", k), ("ba", k)]
-        return out
+        return imu_keys(self.ki, self.kj)
 
     def evaluate(self, window, frames, want_jacobian):
-        r, Jn = preintegration_residual(window.keyframes[self.ki], window.keyframes[self.kj],
-                                        self.pre, want_jacobian)
+        r, J = preintegration_residual(window.keyframes[self.ki], window.keyframes[self.kj],
+                                       self.pre, want_jacobian)
         rw = solve_triangular(self._L, r, lower=True)
-        if not want_jacobian:
-            return rw, None
-        J = {}
-        for suffix, k in (("i", self.ki), ("j", self.kj)):
-            for name in ("p", "q", "v", "bg", "ba"):
-                J[(name, k)] = solve_triangular(self._L, Jn[f"{name}_{suffix}"], lower=True)
-        return rw, J
+        return rw, solve_triangular(self._L, J, lower=True) if want_jacobian else None
 
 
 class TimeDelayFactor(Factor):
@@ -259,10 +258,7 @@ class TimeDelayFactor(Factor):
                                      window.keyframes[self.kj].dt_bc,
                                      self.interval)
         s = 1.0 / np.sqrt(var)
-        rw = np.array([r * s])
-        if not want_jacobian:
-            return rw, None
-        return rw, {("dt", self.ki): np.array([[-s]]), ("dt", self.kj): np.array([[s]])}
+        return np.array([r * s]), np.array([[-s, s]]) if want_jacobian else None
 
 
 class _CameraFactor(Factor):
@@ -273,13 +269,9 @@ class _CameraFactor(Factor):
 
     def __init__(self, kfs: tuple, obs: np.ndarray, depth, sigma_u: float):
         self.kfs, self.obs, self.depth, self.sigma_u = kfs, obs, depth, sigma_u
-        self._ids = sorted(set(kfs))
 
     def keys(self):
-        out = []
-        for k in self._ids:
-            out += [("p", k), ("q", k), ("dt", k)]
-        return out + [("cp", -1), ("cq", -1)]
+        return pa.camera_keys(self.kfs)
 
 
 class VisualFactor(_CameraFactor):
@@ -289,9 +281,7 @@ class VisualFactor(_CameraFactor):
         r, J = pa.visual_pa_residual(self.kfs, self.obs, frames, window.cam_ext,
                                      want_jacobian)
         s = 1.0 / self.sigma_u  # cov = sigma_u^2 I
-        if not want_jacobian:
-            return s * r, None
-        return s * r, {k: s * v for k, v in J.items()}
+        return s * r, None if J is None else s * J
 
 
 class DepthFactor(_CameraFactor):
@@ -302,9 +292,7 @@ class DepthFactor(_CameraFactor):
                                           window.cam_ext, want_jacobian)
         # cov = diag(sigma_u^2, sigma_u^2, 1): the depth row is already whitened
         w = np.array([1.0 / self.sigma_u, 1.0 / self.sigma_u, 1.0])
-        if not want_jacobian:
-            return w * r, None
-        return w * r, {k: w[:, None] * v for k, v in J.items()}
+        return w * r, None if J is None else w[:, None] * J
 
 
 class LidarPaFactor(Factor):
@@ -313,20 +301,14 @@ class LidarPaFactor(Factor):
 
     def __init__(self, cluster: pa.PlaneCluster):
         self.cluster = cluster
-        self._ids = sorted(cluster.points)
 
     def keys(self):
-        out = []
-        for k in self._ids:
-            out += [("p", k), ("q", k), ("v", k)]
-        return out + [("lp", -1), ("lq", -1), ("ldt", -1)]
+        return pa.plane_keys(self.cluster)
 
     def evaluate(self, window, frames, want_jacobian):
-        out = pa.lidar_pa_residual(self.cluster, frames, window.lid_ext, want_jacobian)
-        s = 1.0 / np.sqrt(out[1][0, 0])  # scalar residual
-        if not want_jacobian:
-            return s * out[0], None
-        return s * out[0], {k: s * v for k, v in out[2].items()}
+        r, J, var = pa.lidar_pa_residual(self.cluster, frames, window.lid_ext, want_jacobian)
+        s = 1.0 / np.sqrt(var)  # scalar residual
+        return s * r, None if J is None else s * J
 
 
 class F2mFactor(Factor):
@@ -338,8 +320,7 @@ class F2mFactor(Factor):
         self._L = cholesky(meas.covariance + np.eye(6) * 1e-12, lower=True)
 
     def keys(self):
-        k = self.meas.keyframe_id
-        return [("p", k), ("q", k), ("v", k), ("lp", -1), ("lq", -1), ("ldt", -1)]
+        return f2m_keys(self.meas.keyframe_id)
 
     def evaluate(self, window, frames, want_jacobian):
         r, J = f2m_pose_residual(frames[self.meas.keyframe_id], window.lid_ext, self.meas,
@@ -347,7 +328,10 @@ class F2mFactor(Factor):
         rw = solve_triangular(self._L, r, lower=True)
         if not want_jacobian:
             return rw, None
-        return rw, {k: solve_triangular(self._L, v, lower=True) for k, v in J.items()}
+        # the one-column ldt block is whitened alone: a one-column triangular
+        # solve rounds differently from a column of a wider one
+        return rw, np.hstack([solve_triangular(self._L, J[:, :15], lower=True),
+                              solve_triangular(self._L, J[:, 15:], lower=True)])
 
 
 class GaussianPriorFactor(Factor):
@@ -367,9 +351,7 @@ class GaussianPriorFactor(Factor):
     def evaluate(self, window, frames, want_jacobian):
         d = boxminus(self.key[0], window.get_block(self.key), self.value)
         rw = self._w * d
-        if not want_jacobian:
-            return rw, None
-        return rw, {self.key: np.diag(self._w)}
+        return rw, np.diag(self._w) if want_jacobian else None
 
 
 class MarginalPriorFactor(Factor):
@@ -386,14 +368,7 @@ class MarginalPriorFactor(Factor):
             boxminus(k[0], window.get_block(k), self.info.lin[k]) for k in self.info.keys
         ]) if self.info.keys else np.zeros(0)
         rw = self.info.r0 + self.info.sqrt_info @ dx
-        if not want_jacobian:
-            return rw, None
-        J, off = {}, 0
-        for k in self.info.keys:
-            d = BLOCK_DIMS[k[0]]
-            J[k] = self.info.sqrt_info[:, off:off + d]
-            off += d
-        return rw, J
+        return rw, self.info.sqrt_info if want_jacobian else None
 
 
 # --------------------------------------------------------------------------
@@ -427,6 +402,24 @@ class AssembledProblem:
             self.index[key] = (off, d)
             off += d
         self.dim = off
+        self._scatter = [self._columns(f) for f in self.factors]
+
+    def _columns(self, factor):
+        """(its jacobian columns to keep or None for all, their state
+        columns, the H index of those) of one factor, or None when it
+        touches no free block: a block that is not free (the calibration
+        blocks in `no_calib`) is a column selection dropped from J."""
+        kept, state, col = [], [], 0
+        for key in factor.keys():
+            d = BLOCK_DIMS[key[0]]
+            if key in self.index:
+                kept += range(col, col + d)
+                state += range(self.index[key][0], self.index[key][0] + d)
+            col += d
+        if not state:
+            return None
+        idx = np.array(state)
+        return (None if len(kept) == col else np.array(kept)), idx, np.ix_(idx, idx)
 
     @property
     def stats(self):
@@ -450,7 +443,7 @@ class AssembledProblem:
         g = np.zeros(self.dim)
         cost = 0.0
         frames = window.frames()
-        for f in self.factors:
+        for f, scatter in zip(self.factors, self._scatter):
             r, J = f.evaluate(window, frames, True)
             n = float(np.linalg.norm(r))
             if f.robust:
@@ -459,14 +452,13 @@ class AssembledProblem:
             else:
                 cost += n * n
                 w = 1.0
-            items = [(self.index[k], Jk) for k, Jk in J.items() if k in self.index]
-            if not items:
+            if scatter is None:
                 continue
-            Jloc = np.hstack([Jk for _, Jk in items])
-            idx = np.concatenate([np.arange(off, off + d) for (off, d), _ in items])
+            kept, idx, block = scatter
+            Jloc = J if kept is None else J[:, kept]
             JtW = w * Jloc.T
             g[idx] += JtW @ r
-            H[np.ix_(idx, idx)] += JtW @ Jloc
+            H[block] += JtW @ Jloc
         return H, g, cost
 
 
@@ -924,8 +916,7 @@ class Estimator:
             if isinstance(f, F2mFactor) and f.meas.keyframe_id == k0 \
                     and self.cfg.mode != "marg_f2m":
                 continue  # discard the absolute F2M information outright
-            fkeys = [k for k in f.keys() if k in problem.index]
-            if any(k in marg_keys for k in fkeys):
+            if any(k in marg_keys for k in f.keys()):
                 touching.append(f)
         new_prior = marginalize_factors(self.window, touching, marg_keys,
                                         allowed_keys=set(problem.index))

@@ -9,7 +9,8 @@ Registration estimates the LiDAR pose against the map by Gauss-Newton on
 point-to-plane distances; the resulting loosely-coupled pose (not the raw
 points) enters the sliding window through a 6-DoF pose residual, which
 reads the keyframe's pose at the LiDAR sampling instant from the pass's
-keyframe table (`factors.keyframe_frames`) and compensates nothing itself. The
+keyframe table (`factors.keyframe_frames`) and compensates nothing itself;
+its jacobian is one (6, 16) matrix whose columns follow `f2m_keys`. The
 registration settings (neighbor count, search radius, gates, iteration and
 point limits) are the module constants below.
 """
@@ -218,11 +219,17 @@ def estimate_f2m_pose(scan_r: np.ndarray, initial_pose: Pose, pmap: GlobalPlaneM
     return F2mPoseMeasurement(keyframe_id, pose, 0.5 * (cov + cov.T))
 
 
+def f2m_keys(kf: int) -> list:
+    """The blocks of the F2M pose residual's jacobian on keyframe kf, in
+    column order."""
+    return [("p", kf), ("q", kf), ("v", kf), ("lp", -1), ("lq", -1), ("ldt", -1)]
+
+
 def f2m_pose_residual(frame, ext: LidarImuExtrinsics, meas: F2mPoseMeasurement,
                       want_jacobian: bool):
-    """6-vector F2M pose residual (translation, Log rotation) and its
-    jacobian blocks: (r, None), or (r, J) with want_jacobian. The covariance
-    is ``meas.covariance``.
+    """6-vector F2M pose residual (translation, Log rotation): (r, None), or
+    with want_jacobian (r, J) where J is the (6, 16) jacobian laid out as
+    `f2m_keys`. The covariance is ``meas.covariance``.
 
     frame is the measured keyframe's `factors.KeyframeFrames`; the residual
     reads its body pose at the LiDAR sampling instant, `frame.lidar`.
@@ -238,38 +245,21 @@ def f2m_pose_residual(frame, ext: LidarImuExtrinsics, meas: F2mPoseMeasurement,
     if not want_jacobian:
         return r, None
 
-    kf = meas.keyframe_id
     Rrb = quat_to_matrix(ext.q_rb)
     Jr_inv = so3_right_jacobian_inv(r_q)
     C = Rrb @ Rm.T
     B = c.E @ C
 
-    J: dict = {}
-    Jt = np.zeros((6, 3))
-    Jt[0:3] = np.eye(3)
-    J[("p", kf)] = Jt
-
-    Jq = np.zeros((6, 3))
-    Jq[0:3] = -c.R @ skew(c.E @ ext.p_br)
-    Jq[3:6] = Jr_inv @ B.T
-    J[("q", kf)] = Jq
-
-    Jv = np.zeros((6, 3))
-    Jv[0:3] = np.eye(3) * c.delta
-    J[("v", kf)] = Jv
-
-    Jlp = np.zeros((6, 3))
-    Jlp[0:3] = c.RE
-    J[("lp", -1)] = Jlp
-
-    Jlq = np.zeros((6, 3))
-    Jlq[3:6] = Jr_inv @ Rm
-    J[("lq", -1)] = Jlq
-
-    Jdt = np.zeros((6, 1))
-    Jdt[0:3, 0] = v - c.RE @ (skew(ext.p_br) @ (c.Jr @ w))
-    Jdt[3:6, 0] = Jr_inv @ (C.T @ (c.Jr @ w))
-    J[("ldt", -1)] = Jdt
+    # columns: p 0:3, q 3:6, v 6:9, lp 9:12, lq 12:15, ldt 15
+    J = np.zeros((6, 16))
+    J[0:3, 0:3] = np.eye(3)
+    J[0:3, 3:6] = -c.R @ skew(c.E @ ext.p_br)
+    J[3:6, 3:6] = Jr_inv @ B.T
+    J[0:3, 6:9] = np.eye(3) * c.delta
+    J[0:3, 9:12] = c.RE
+    J[3:6, 12:15] = Jr_inv @ Rm
+    J[0:3, 15] = v - c.RE @ (skew(ext.p_br) @ (c.Jr @ w))
+    J[3:6, 15] = Jr_inv @ (C.T @ (c.Jr @ w))
     return r, J
 
 

@@ -1,13 +1,16 @@
 """Pose-only measurement factors: visual F2F, LiDAR-depth, and LiDAR plane.
 
-All residuals are pure functions of (window states, measurement) and return
-analytic jacobians w.r.t. the parameter blocks they touch: with
-want_jacobian, (residual, jacobian blocks); without, (residual, None). The
-camera residuals return no covariance: their noise (the normalized pixel
-sigma, and sigma_d folded into the depth row) is applied by the caller.
-`lidar_pa_residual` returns (residual, 1x1 covariance[, blocks]), because
-its variance depends on the data. Blocks are keyed by (name, keyframe_id);
-window-global blocks (extrinsics, LiDAR time delay) use id -1:
+All residuals are pure functions of (window states, measurement). With
+want_jacobian they also return the analytic jacobian as one (m, n) array
+for an m-vector residual: its columns are the parameter blocks the residual
+touches, laid out in the order of the factor's key list (`camera_keys`,
+`plane_keys`), each block as many columns as its dimension. Without
+want_jacobian the jacobian is None. The camera residuals return (r, J) and
+no covariance: their noise (the normalized pixel sigma, and sigma_d folded
+into the depth row) is applied by the caller. `lidar_pa_residual` returns
+(r, J, variance), because its variance depends on the data. Blocks are
+keyed by (name, keyframe_id); window-global blocks (extrinsics, LiDAR time
+delay) use id -1:
 
     ("p", k)   keyframe position            3
     ("q", k)   keyframe attitude (right multiplicative perturbation) 3
@@ -178,24 +181,13 @@ def select_anchors(kfs: list, p_u: np.ndarray, frames: dict, zeta: int | None):
     return zeta, best
 
 
-def _accumulate(J, key, val):
-    if key in J:
-        J[key] = J[key] + val
-    else:
-        J[key] = val
-
-
-def _chain_cam_to_blocks(J, frame_id, d_t, d_f, d_u, Rb, ext, v_u):
-    """Chain residual partials w.r.t. one camera frame's primitives
-    (translation d_t, rotation d_f, compensated observation d_u) into
-    parameter blocks."""
-    Rcb = quat_to_matrix(ext.q_cb)
-    _accumulate(J, ("p", frame_id), d_t)
-    _accumulate(J, ("q", frame_id), d_f @ Rcb.T - d_t @ (Rb @ skew(ext.p_bc)))
-    _accumulate(J, ("cp", -1), d_t @ Rb)
-    _accumulate(J, ("cq", -1), d_f)
-    dudt = np.array([[-v_u[0]], [-v_u[1]], [0.0]])
-    _accumulate(J, ("dt", frame_id), d_u @ dudt)
+def camera_keys(kfs) -> list:
+    """The blocks of a camera residual's jacobian, in column order, for kfs =
+    (zeta, eta, j); when j is eta, j's partials add into eta's columns."""
+    z, e, j = kfs
+    keys = [("p", z), ("q", z), ("cp", -1), ("cq", -1), ("dt", z),
+            ("p", e), ("q", e), ("dt", e)]
+    return keys if j == e else keys + [("p", j), ("q", j), ("dt", j)]
 
 
 def _depth_partials(terms, Rz, uz):
@@ -271,10 +263,21 @@ def _camera_setup(kfs, obs, frames):
 
 
 def _chain_roles(cams, ext, role_partials):
-    """Jacobian blocks from the (d_t, d_f, d_u) partials of zeta, eta and j."""
-    J: dict = {}
-    for (k, _, v_u, f), (d_t, d_f, d_u) in zip(cams, role_partials):
-        _chain_cam_to_blocks(J, k, d_t, d_f, d_u, f.R, ext, v_u)
+    """The jacobian, laid out as `camera_keys`, from the partials (d_t, d_f,
+    d_u) of the residual with respect to the camera translation, camera
+    rotation and compensated observation of zeta, eta and j."""
+    observer_is_eta = cams[2][0] == cams[1][0]
+    J = np.zeros((len(role_partials[0][0]), 20 if observer_is_eta else 27))
+    # first columns of the p, q and dt blocks of zeta, eta and j in that
+    # layout; cp and cq are columns 6:9 and 9:12
+    roles = ((0, 3, 12), (13, 16, 19), (13, 16, 19) if observer_is_eta else (20, 23, 26))
+    Rcb = quat_to_matrix(ext.q_cb)
+    for (_, _, v_u, f), (d_t, d_f, d_u), (p, q, dt) in zip(cams, role_partials, roles):
+        J[:, p:p + 3] += d_t
+        J[:, q:q + 3] += d_f @ Rcb.T - d_t @ (f.R @ skew(ext.p_bc))
+        J[:, 6:9] += d_t @ f.R
+        J[:, 9:12] += d_f
+        J[:, dt:dt + 1] += d_u @ np.array([[-v_u[0]], [-v_u[1]], [0.0]])
     return J
 
 
@@ -284,7 +287,8 @@ def visual_pa_residual(kfs, obs: np.ndarray, frames: dict, ext: CameraImuExtrins
 
     kfs = (zeta, eta, j); obs their (3, 5) observation rows (ux, uy, 1, vx,
     vy); frames: keyframe_id -> KeyframeFrames. Returns (residual 2-vector,
-    None), or (residual, jacobian blocks) with want_jacobian.
+    None), or with want_jacobian (residual, jacobian laid out as
+    `camera_keys(kfs)`).
     """
     cams, d, m, dterms = _camera_setup(kfs, obs, frames)
     (_, uz, _, fz), _, (_, uj, _, fj) = cams
@@ -311,8 +315,8 @@ def lidar_depth_pa_residual(kfs, obs: np.ndarray, depth, frames: dict,
     (d_pose - d_meas) / sigma_d.
 
     kfs and obs as for `visual_pa_residual`; depth = (d_meas, sigma_d), the
-    LiDAR depth at zeta. Returns (residual 3-vector, None), or (residual,
-    jacobian blocks) with want_jacobian."""
+    LiDAR depth at zeta. Returns (residual 3-vector, None), or with
+    want_jacobian (residual, jacobian laid out as `camera_keys(kfs)`)."""
     d_meas, sigma_d = depth
     cams, d_pose, m, dterms = _camera_setup(kfs, obs, frames)
     (_, uz, _, fz), _, (_, uj, _, fj) = cams
@@ -325,10 +329,7 @@ def lidar_depth_pa_residual(kfs, obs: np.ndarray, depth, frames: dict,
     _, BP = _bearing_partials(terms, fz.Rc, uz)
 
     def stack(bearing, depth_row):
-        out = np.zeros((3, bearing.shape[1]))
-        out[0:2] = bearing
-        out[2] = depth_row / sigma_d
-        return out
+        return np.vstack([bearing, depth_row / sigma_d])
 
     no_bearing = np.zeros((2, 3))  # the bearing at d_meas does not involve eta
     return r, _chain_roles(cams, ext, [
@@ -363,6 +364,13 @@ def fit_plane(points: np.ndarray) -> PlaneModel:
     return PlaneModel(n, float(-n @ c))
 
 
+def plane_keys(cluster: PlaneCluster) -> list:
+    """The blocks of a plane residual's jacobian, in column order: p, q and
+    v of each keyframe of the cluster in window order, then lp, lq, ldt."""
+    return [(name, k) for k in cluster.points for name in ("p", "q", "v")] + [
+        ("lp", -1), ("lq", -1), ("ldt", -1)]
+
+
 def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsics,
                       want_jacobian: bool, plane: PlaneModel | None = None):
     """Plane-thickness residual of a same-plane cluster.
@@ -375,7 +383,8 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     std of the per-keyframe mean-square point-to-plane distances), scaled
     by 1/N for N points.
 
-    Returns (residual (1,), covariance (1,1)[, jacobian blocks]).
+    Returns (residual (1,), jacobian or None, variance): the jacobian, with
+    want_jacobian, laid out as `plane_keys(cluster)`.
     """
     Rrb = quat_to_matrix(ext.q_rb)
     # per keyframe: (frames, pts_r, y body-frame, world at the LiDAR instant)
@@ -392,16 +401,14 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
     ms_per_kf = [float(np.mean(e**2)) for e in eps_by_kf.values()]
     r = np.array([sum(len(e) * ms for e, ms in zip(eps_by_kf.values(), ms_per_kf)) / N])
     sigma = max(PLANE_COV_FLOOR, float(np.std(ms_per_kf)))
-    cov = np.array([[sigma**2 / N]])
+    var = sigma**2 / N
     if not want_jacobian:
-        return r, cov
+        return r, None, var
 
     n = plane.normal
-    J: dict = {}
-    Jlp = np.zeros((1, 3))
-    Jlq = np.zeros((1, 3))
-    Jldt = 0.0
-    for kf, (f, pts_r, y, pw) in groups.items():
+    J = np.zeros((1, 9 * len(groups) + 7))
+    Jp, Jext = J[0, :-7].reshape(-1, 9), J[0, -7:]  # (p, q, v) rows; lp, lq, ldt
+    for Jk, (kf, (f, pts_r, y, pw)) in zip(Jp, groups.items()):
         c = f.lidar
         eps = eps_by_kf[kf]
         wsum = 2.0 * float(np.sum(eps)) / N  # scalar weight on linear terms
@@ -409,14 +416,11 @@ def lidar_pa_residual(cluster: PlaneCluster, frames: dict, ext: LidarImuExtrinsi
         s_r = (2.0 / N) * (eps @ pts_r)
         nR = n @ c.R
         nRE = n @ c.RE
-        J[("p", kf)] = (wsum * n)[None, :]
-        J[("q", kf)] = (-(nR @ skew(c.E @ s_y)))[None, :]
-        J[("v", kf)] = (wsum * c.delta * n)[None, :]
-        Jldt += wsum * (n @ f.velocity) \
+        Jk[0:3] = wsum * n
+        Jk[3:6] = -(nR @ skew(c.E @ s_y))
+        Jk[6:9] = wsum * c.delta * n
+        Jext[0:3] += wsum * nRE
+        Jext[3:6] += -(nRE @ (Rrb @ skew(s_r)))
+        Jext[6] += wsum * (n @ f.velocity) \
             - nRE @ (skew(s_y) @ (c.Jr @ f.angular_rate))
-        Jlp += (wsum * nRE)[None, :]
-        Jlq += (-(nRE @ (Rrb @ skew(s_r))))[None, :]
-    J[("lp", -1)] = Jlp
-    J[("lq", -1)] = Jlq
-    J[("ldt", -1)] = np.array([[Jldt]])
-    return r, cov, J
+    return r, J, var

@@ -182,15 +182,26 @@ def integrate(samples, bias_g, bias_a, noise: ImuNoiseConfig) -> PreintegratedIm
     )
 
 
+def imu_keys(ki: int, kj: int) -> list:
+    """The blocks of the preintegration residual's jacobian, in column order:
+    (p, q, v, bg, ba) of keyframe ki, then of kj."""
+    return [(name, k) for k in (ki, kj) for name in ("p", "q", "v", "bg", "ba")]
+
+
+# column slices of the preintegration jacobian, laid out as `imu_keys`
+_P_I, _Q_I, _V_I, _BG_I, _BA_I, _P_J, _Q_J, _V_J, _BG_J, _BA_J = (
+    slice(c, c + 3) for c in range(0, 30, 3))
+
+
 def preintegration_residual(state_i, state_j, pre: PreintegratedImu, want_jacobian: bool):
-    """15-vector residual (rp, rtheta, rv, rbg, rba) and its jacobians.
+    """15-vector residual (rp, rtheta, rv, rbg, rba) and its jacobian.
 
     ``state_i``/``state_j`` need attributes timestamp, p, q, v, bg, ba
     (see estimator.KeyframeState). Returns (r, None), or with want_jacobian
-    (r, J) where J has keys ('p_i','q_i','v_i','bg_i','ba_i', 'p_j','q_j',
-    'v_j','bg_j','ba_j') of 15x3 blocks. Attitude blocks use a right
-    multiplicative perturbation q <- q (x) Exp(theta). The covariance is
-    ``pre.covariance``.
+    (r, J) where J is the (15, 30) jacobian laid out as `imu_keys`: the
+    (p, q, v, bg, ba) columns of state i, then of state j. Attitude columns
+    use a right multiplicative perturbation q <- q (x) Exp(theta). The
+    covariance is ``pre.covariance``.
     """
     T = state_j.timestamp - state_i.timestamp
     if abs(T - pre.duration) > 1e-3:
@@ -216,34 +227,33 @@ def preintegration_residual(state_i, state_j, pre: PreintegratedImu, want_jacobi
     M = quat_to_matrix(dq).T @ Ri.T @ Rj
     Jr_inv = so3_right_jacobian_inv(rq)
 
-    J = {k: np.zeros((15, 3)) for k in (
-        "p_i", "q_i", "v_i", "bg_i", "ba_i", "p_j", "q_j", "v_j", "bg_j", "ba_j")}
+    J = np.zeros((15, 30))
 
     # position rows
-    J["p_i"][0:3] = -Ri.T
-    J["p_j"][0:3] = Ri.T
-    J["v_i"][0:3] = -Ri.T * T
-    J["q_i"][0:3] = skew(Ri.T @ dP)
-    J["bg_j"][0:3] = -pre.dp_dbg
-    J["ba_j"][0:3] = -pre.dp_dba
+    J[0:3, _P_I] = -Ri.T
+    J[0:3, _P_J] = Ri.T
+    J[0:3, _V_I] = -Ri.T * T
+    J[0:3, _Q_I] = skew(Ri.T @ dP)
+    J[0:3, _BG_J] = -pre.dp_dbg
+    J[0:3, _BA_J] = -pre.dp_dba
 
     # attitude rows
-    J["q_j"][3:6] = Jr_inv
-    J["q_i"][3:6] = -Jr_inv @ Rj.T @ Ri
-    J["bg_j"][3:6] = -Jr_inv @ M.T @ so3_right_jacobian(v_bg) @ pre.dq_dbg
+    J[3:6, _Q_J] = Jr_inv
+    J[3:6, _Q_I] = -Jr_inv @ Rj.T @ Ri
+    J[3:6, _BG_J] = -Jr_inv @ M.T @ so3_right_jacobian(v_bg) @ pre.dq_dbg
 
     # velocity rows
-    J["v_i"][6:9] = -Ri.T
-    J["v_j"][6:9] = Ri.T
-    J["q_i"][6:9] = skew(Ri.T @ dV)
-    J["bg_j"][6:9] = -pre.dv_dbg
-    J["ba_j"][6:9] = -pre.dv_dba
+    J[6:9, _V_I] = -Ri.T
+    J[6:9, _V_J] = Ri.T
+    J[6:9, _Q_I] = skew(Ri.T @ dV)
+    J[6:9, _BG_J] = -pre.dv_dbg
+    J[6:9, _BA_J] = -pre.dv_dba
 
     # bias rows
-    J["bg_i"][9:12] = -np.eye(3)
-    J["bg_j"][9:12] = np.eye(3)
-    J["ba_i"][12:15] = -np.eye(3)
-    J["ba_j"][12:15] = np.eye(3)
+    J[9:12, _BG_I] = -np.eye(3)
+    J[9:12, _BG_J] = np.eye(3)
+    J[12:15, _BA_I] = -np.eye(3)
+    J[12:15, _BA_J] = np.eye(3)
     return r, J
 
 

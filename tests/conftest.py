@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
-from lvio.estimator import KeyframeState
+from lvio.estimator import BLOCK_DIMS, KeyframeState
 from lvio.factors import keyframe_frames
 from lvio.geometry import Pose, exp_map, quat_multiply, quat_normalize
 
@@ -33,6 +33,17 @@ def fd_jacobian(f, dim, eps=1e-6):
 def rel_error(J_analytic, J_fd):
     scale = max(np.linalg.norm(J_fd), 1e-6)
     return np.linalg.norm(J_analytic - J_fd) / scale
+
+
+def key_columns(J, keys):
+    """key -> the columns of the jacobian J laid out by the key list keys."""
+    out, col = {}, 0
+    for key in keys:
+        d = BLOCK_DIMS[key[0]]
+        out[key] = J[:, col:col + d]
+        col += d
+    assert col == J.shape[1], (col, J.shape)
+    return out
 
 
 def perturb_pose(pose, dp, dq):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import lvio.factors as pa
 from lvio.calibration import CameraImuExtrinsics, LidarImuExtrinsics
 from lvio.estimator import (
+    BLOCK_DIMS,
+    HUBER_DELTA,
     AssembledProblem,
     Estimator,
     EstimatorConfig,
@@ -28,6 +30,7 @@ from lvio.geometry import Pose, exp_map, quat_multiply, quat_rotate
 from lvio.io import read_clusters_csv, read_tum
 from lvio.simulate import simulate_scenario
 
+from conftest import key_columns
 
 IDENT_CAM = CameraImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
 IDENT_LID = LidarImuExtrinsics(np.zeros(3), np.array([1.0, 0, 0, 0]))
@@ -107,7 +110,7 @@ class WallFactor(Factor):
         if p[0] > 0.5:
             raise pa.CheiralityError("past the wall")
         r = p - np.array([1.0, 0.0, 0.0])
-        return r, ({("p", 0): np.eye(3)} if want_jacobian else None)
+        return r, (np.eye(3) if want_jacobian else None)
 
 
 def test_lm_solve_rejects_a_trial_step_whose_cost_raises():
@@ -182,7 +185,7 @@ class RelPosFactor(Factor):
         if not want_jacobian:
             return r, None
         eye = self.s * np.eye(3)
-        return r, {("p", self.ki): -eye, ("p", self.kj): eye}
+        return r, np.hstack([-eye, eye])
 
 
 def newton_solve(problem, window, iters=3):
@@ -252,6 +255,67 @@ def full_run(sim_dir):
     from lvio.cli import run_estimator
     config = EstimatorConfig(window_size=5, max_tracks=20, max_clusters=15)
     return run_estimator(sim_dir, mode="full", config=config)
+
+
+@pytest.fixture(scope="module")
+def no_calib_run(sim_dir):
+    from lvio.cli import run_estimator
+    config = EstimatorConfig(window_size=5, max_iterations=4, max_tracks=20, max_clusters=15)
+    return run_estimator(sim_dir, mode="no_calib", config=config)
+
+
+def reference_linearize(problem, window):
+    """The normal equations assembled as a dict of jacobian blocks per
+    factor: each factor's jacobian cut into its keys' blocks, the blocks of
+    free parameters stacked in key order and scattered by their offsets."""
+    H = np.zeros((problem.dim, problem.dim))
+    g = np.zeros(problem.dim)
+    cost = 0.0
+    frames = window.frames()
+    for f in problem.factors:
+        r, J = f.evaluate(window, frames, True)
+        n = float(np.linalg.norm(r))
+        if f.robust:
+            cost += huber_cost(n, HUBER_DELTA)
+            w = robust_weight(n, HUBER_DELTA)
+        else:
+            cost += n * n
+            w = 1.0
+        items = [(problem.index[k], Jk) for k, Jk in key_columns(J, f.keys()).items()
+                 if k in problem.index]
+        if not items:
+            continue
+        Jloc = np.hstack([Jk for _, Jk in items])
+        idx = np.concatenate([np.arange(off, off + d) for (off, d), _ in items])
+        JtW = w * Jloc.T
+        g[idx] += JtW @ r
+        H[np.ix_(idx, idx)] += JtW @ Jloc
+    return H, g, cost
+
+
+@pytest.mark.parametrize("run", ["full_run", "no_calib_run"])
+def test_linearize_matches_block_reference(run, request):
+    est = request.getfixturevalue(run)
+    problem = est.build_problem()
+    assert {"imu", "visual", "lidar", "f2m", "marginal"} <= set(problem.stats)
+    # a camera factor whose observer is its eta anchor adds into eta's columns
+    assert any(f.kfs[2] == f.kfs[1] for f in problem.factors if f.kind == "visual")
+    if run == "no_calib_run":
+        assert ("cp", -1) not in problem.index and ("dt", 0) not in problem.index
+    H, g, cost = problem.linearize(est.window)
+    H_ref, g_ref, cost_ref = reference_linearize(problem, est.window)
+    assert np.array_equal(H, H_ref)
+    assert np.array_equal(g, g_ref)
+    assert cost == cost_ref
+
+
+@pytest.mark.parametrize("run", ["full_run", "no_calib_run"])
+def test_each_jacobian_has_a_column_per_key_dimension(run, request):
+    est = request.getfixturevalue(run)
+    frames = est.window.frames()
+    for f in est.build_problem().factors:
+        r, J = f.evaluate(est.window, frames, True)
+        assert J.shape == (len(r), sum(BLOCK_DIMS[k[0]] for k in f.keys())), f.kind
 
 
 def test_pipeline_produces_all_keyframes(full_run, sim_dir):

@@ -190,9 +190,9 @@ def test_f2m_residual_jacobians_match_fd(rng):
                                 v + d[6:9], w)
             return f2m_pose_residual(frame, ext, meas, False)[0]
 
+        # columns: p, q, v of the keyframe, then lp, lq, ldt
         Jfd = fd_jacobian(f_state, 9)
-        Ja = np.hstack([J[("p", 3)], J[("q", 3)], J[("v", 3)]])
-        assert rel_error(Ja, Jfd) < 1e-4, trial
+        assert rel_error(J[:, :9], Jfd) < 1e-4, trial
 
         def f_ext(d):
             moved = LidarImuExtrinsics(ext.p_br + d[0:3],
@@ -201,8 +201,7 @@ def test_f2m_residual_jacobians_match_fd(rng):
             return f2m_pose_residual(frame, moved, meas, False)[0]
 
         Jfd = fd_jacobian(f_ext, 7)
-        Ja = np.hstack([J[("lp", -1)], J[("lq", -1)], J[("ldt", -1)]])
-        assert rel_error(Ja, Jfd) < 1e-4, trial
+        assert rel_error(J[:, 9:], Jfd) < 1e-4, trial
 
 
 def test_insert_marginalized_frame(rng):

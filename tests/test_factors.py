@@ -9,9 +9,11 @@ from lvio.factors import (
     PlaneCluster,
     PlaneFitError,
     PlaneModel,
+    camera_keys,
     fit_plane,
     lidar_depth_pa_residual,
     lidar_pa_residual,
+    plane_keys,
     pose_only_depth,
     select_anchors,
     visual_pa_residual,
@@ -20,6 +22,7 @@ from lvio.geometry import Pose, compose_relative, exp_map, quat_multiply
 
 from conftest import (
     fd_jacobian,
+    key_columns,
     keyframe_table,
     perturb_pose,
     rand_pose,
@@ -303,6 +306,7 @@ def _visual_fd_check(rng, with_depth, observer, tol=1e-4):
         return residual(*args, frames, ext, want_jacobian)
 
     r, J = fn(cam_table(poses, ext, dt_bc, dthat), ext, True)
+    J = key_columns(J, camera_keys(args[0]))
 
     for k in poses:
         def f_pose(d, k=k):
@@ -394,9 +398,9 @@ def make_cluster_poses(rng, n_frames=3, noise=0.0, plane_z=0.0):
 
 def test_lidar_pa_zero_for_coplanar(rng):
     cluster, poses = make_cluster_poses(rng)
-    r, cov = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)
+    r, J, var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)
     assert abs(r[0]) < 1e-12
-    assert cov[0, 0] > 0
+    assert J is None and var > 0
 
 
 def test_lidar_pa_alternating_points():
@@ -405,16 +409,16 @@ def test_lidar_pa_alternating_points():
            1: np.array([[0.0, 1, 0.1], [1.0, 1, -0.1]])}
     cluster = PlaneCluster(0, pts)
     plane = PlaneModel(np.array([0.0, 0, 1.0]), 0.0)
-    r, _ = lidar_pa_residual(cluster, frames, IDENT_LEXT, False, plane)
+    r, _, _ = lidar_pa_residual(cluster, frames, IDENT_LEXT, False, plane)
     np.testing.assert_allclose(r[0], 0.01, atol=1e-15)
 
 
 def test_lidar_pa_global_rigid_invariance(rng):
     cluster, poses = make_cluster_poses(rng, noise=0.01)
-    r0, _ = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)
+    r0, _, _ = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)
     T = rand_pose(rng, 3.0)
     moved = {k: T.compose(p) for k, p in poses.items()}
-    r1, _ = lidar_pa_residual(cluster, lidar_table(moved), IDENT_LEXT, False)
+    r1, _, _ = lidar_pa_residual(cluster, lidar_table(moved), IDENT_LEXT, False)
     np.testing.assert_allclose(r0, r1, atol=1e-10)
 
 
@@ -450,7 +454,7 @@ def test_lidar_residuals_share_one_compensated_pose(rng):
         for _ in range(5):
             n = rng.normal(size=3)
             plane = PlaneModel(n / np.linalg.norm(n), rng.normal())
-            r, _ = lidar_pa_residual(cluster, frames, ext, False, plane)
+            r, _, _ = lidar_pa_residual(cluster, frames, ext, False, plane)
             np.testing.assert_allclose(r[0], np.mean(plane.distance(world) ** 2),
                                        rtol=1e-9)
 
@@ -459,7 +463,7 @@ def test_adaptive_covariance_monotone(rng):
     base = None
     for noise in (0.005, 0.02):
         cluster, poses = make_cluster_poses(rng, noise=noise)
-        var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)[1][0, 0]
+        var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)[2]
         if base is None:
             base = var
         else:
@@ -468,7 +472,7 @@ def test_adaptive_covariance_monotone(rng):
 
 def test_adaptive_covariance_floor(rng):
     cluster, poses = make_cluster_poses(rng, noise=0.0)
-    var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)[1][0, 0]
+    var = lidar_pa_residual(cluster, lidar_table(poses), IDENT_LEXT, False)[2]
     from lvio.factors import PLANE_COV_FLOOR
     np.testing.assert_allclose(var, PLANE_COV_FLOOR**2 / cluster.n_points)
 
@@ -484,8 +488,9 @@ def test_lidar_pa_jacobians_match_fd(rng):
             v[k], w[k] = rng.normal(size=3), rng.normal(size=3) * 0.5
         dthat_br = rng.normal() * 0.002
         dt_br = rng.normal() * 0.004
-        r, cov, J = lidar_pa_residual(cluster, lidar_table(poses, ext, dt_br, dthat_br, v, w),
-                                      ext, True)
+        r, J, _ = lidar_pa_residual(cluster, lidar_table(poses, ext, dt_br, dthat_br, v, w),
+                                    ext, True)
+        J = key_columns(J, plane_keys(cluster))
 
         # plane fixed at linearization: tolerance 1e-4; full re-fit FD: 1e-2
         world = []
