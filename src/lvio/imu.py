@@ -294,7 +294,9 @@ def slice_samples(samples, t0: float, t1: float):
     on them.
 
     The slice starts exactly at t0 and ends exactly at t1 so preintegration
-    durations match keyframe intervals. The bounds are found by bisection.
+    durations match keyframe intervals. The bounds are found by bisection;
+    a bound up to 1e-9 s outside the stream is extrapolated linearly from
+    the first or last sample interval.
     """
     t = samples[:, 0]
     if t0 < t[0] - 1e-9 or t1 > t[-1] + 1e-9:
@@ -304,6 +306,8 @@ def slice_samples(samples, t0: float, t1: float):
         i = int(np.searchsorted(t, s))
         if i < len(t) and abs(t[i] - s) < 1e-12:
             return samples[i]
+        # a bound just outside the stream extends its first or last interval
+        i = min(max(i, 1), len(t) - 1)
         lo, hi = samples[i - 1], samples[i]
         a = (s - lo[0]) / (hi[0] - lo[0])
         return np.concatenate([[s], (1 - a) * lo[1:] + a * hi[1:]])

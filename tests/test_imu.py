@@ -249,6 +249,27 @@ def test_slice_samples_bounds_on_samples():
         slice_samples(samples, 0.5, samples[-1, 0] + 0.1)
 
 
+def test_slice_samples_bounds_just_outside_the_stream():
+    """A bound up to 1e-9 s outside the stream extends its first or last
+    sample interval linearly."""
+    samples = np.column_stack([np.arange(5) * 0.01, np.arange(30.0).reshape(5, 6) ** 2])
+    t1 = 0.04 + 5e-10
+    part = slice_samples(samples, 0.0, t1)
+    assert part[-1, 0] == t1
+    assert np.array_equal(part[:-1], samples)
+    a = (t1 - 0.03) / 0.01
+    np.testing.assert_allclose(part[-1, 1:], (1 - a) * samples[3, 1:] + a * samples[4, 1:],
+                               rtol=1e-12)
+
+    t0 = -5e-10
+    part = slice_samples(samples, t0, 0.04)
+    assert part[0, 0] == t0
+    assert np.array_equal(part[1:], samples)
+    a = t0 / 0.01
+    np.testing.assert_allclose(part[0, 1:], (1 - a) * samples[0, 1:] + a * samples[1, 1:],
+                               rtol=1e-12)
+
+
 def reference_slice(samples, t0, t1):
     """slice_samples over a list of rows with `bisect`, as it was written for
     a list of per-sample records."""
