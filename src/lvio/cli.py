@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -57,15 +58,13 @@ def run_estimator(data_dir, mode="full", seed=None, config: EstimatorConfig | No
                                  dt_br=float(sensor.get("dt_br", 0.0)))
     if config is None:
         config = EstimatorConfig(
-            mode=mode,
             sigma_u=float(sensor.get("pixel_sigma", 0.5)) / float(sensor.get("focal_equiv", 500.0)),
             imu_noise=ImuNoiseConfig(
                 gyro_noise=float(sensor.get("gyro_noise", 1e-4)),
                 accel_noise=float(sensor.get("accel_noise", 1e-3))),
             f2m_sigma_pt=max(float(sensor.get("range_sigma", 0.02)), 0.005),
         )
-    else:
-        config.mode = mode
+    config = dataclasses.replace(config, mode=mode)
 
     p = io.read_vector(init, "p", [0, 0, 0])
     q = quat_normalize(io.read_vector(init, "q", [1, 0, 0, 0]))

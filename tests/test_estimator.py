@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -262,6 +263,15 @@ def no_calib_run(sim_dir):
     from lvio.cli import run_estimator
     config = EstimatorConfig(window_size=5, max_iterations=4, max_tracks=20, max_clusters=15)
     return run_estimator(sim_dir, mode="no_calib", config=config)
+
+
+def test_run_estimator_leaves_the_callers_config_unchanged(sim_dir):
+    from lvio.cli import run_estimator
+    config = EstimatorConfig(window_size=5, max_iterations=0)
+    before = dataclasses.asdict(config)
+    est = run_estimator(sim_dir, mode="no_calib", config=config)
+    assert dataclasses.asdict(config) == before
+    assert est.cfg.mode == "no_calib"
 
 
 def reference_linearize(problem, window):
