@@ -1,6 +1,7 @@
 """Output digest and accuracy of `cli.run_estimator` on the benchmark workloads.
 
     python3 scripts/study.py --seeds 1-5 [--src path/to/src] [--workloads vio_calib]
+    python3 scripts/study.py --seeds 1-5 --against path/to/other/src
 
 For each workload of `benchmark/workloads.py` and each seed, simulates the
 workload's data directory as `benchmark/run.py` does, runs the estimator
@@ -13,12 +14,14 @@ sha256, and a sha256 over the trajectory, the map, the yaw-STD series and
 the final calibration state.
 
 --src names the source tree to import `lvio` from (default: this
-repository's `src`). Running the script on two trees and comparing the
-two digests checks that a change keeps both the simulated inputs and the
-estimator's outputs bit-identical; the other fields are the accuracy study
-of a change that does not. BLAS
-runs single-threaded, as in the benchmark, so that the digest is
-reproducible.
+repository's `src`). Equal digests on two trees show that a change keeps
+both the simulated inputs and the estimator's outputs bit-identical; the
+other fields are the accuracy study of a change that does not. With
+--against OTHER_SRC the script runs both trees on every workload and seed,
+each in its own process, prints one line per pair saying whether the
+output digests and the inputs sha256 are equal, and exits 1 on any
+difference. BLAS runs single-threaded, as in the benchmark, so that the
+digest is reproducible.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -103,20 +107,52 @@ def study(wl, seed: int, work: Path) -> dict:
     }
 
 
+def run_tree(src: Path, name: str, seed: int) -> dict:
+    """The study row of one workload and seed on the source tree src, run in
+    a process of its own."""
+    out = subprocess.run([sys.executable, __file__, "--seeds", str(seed), "--src", str(src),
+                          "--workloads", name], capture_output=True, text=True)
+    if out.returncode:
+        print(f"error: {name} seed {seed} failed on {src}:\n{out.stderr}", file=sys.stderr)
+        sys.exit(2)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def compare(src: Path, other: Path, names: list, seeds: list) -> int:
+    """One equal/different line per workload and seed for the output digest
+    and the inputs sha256 of two source trees; 1 on any difference."""
+    status = 0
+    for name in names:
+        for seed in seeds:
+            a, b = run_tree(src, name, seed), run_tree(other, name, seed)
+            verdicts = []
+            for field, label in (("sha256", "output digest"), ("inputs_sha256", "inputs sha256")):
+                same = a[field] == b[field]
+                status |= not same
+                verdicts.append(f"{label} {'equal' if same else 'different'}")
+            print(f"{name} seed {seed}: {', '.join(verdicts)}", flush=True)
+    return status
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", required=True, help="e.g. 1-5 or 1,2")
     ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--against", default=None, metavar="OTHER_SRC",
+                    help="compare the digests of --src with those of this tree")
     ap.add_argument("--workloads", default=None, help="comma-separated; default all")
     args = ap.parse_args(argv)
-    src = Path(args.src).resolve()
-    if not (src / "lvio" / "estimator.py").is_file():
-        print(f"error: lvio sources not found under {src}", file=sys.stderr)
-        return 2
-    sys.path[:0] = [str(src), str(ROOT / "benchmark")]
+    trees = [Path(t).resolve() for t in (args.src, args.against) if t is not None]
+    for src in trees:
+        if not (src / "lvio" / "estimator.py").is_file():
+            print(f"error: lvio sources not found under {src}", file=sys.stderr)
+            return 2
+    sys.path[:0] = [str(trees[0]), str(ROOT / "benchmark")]
     import workloads
 
     names = args.workloads.split(",") if args.workloads else list(workloads.WORKLOADS)
+    if args.against is not None:
+        return compare(trees[0], trees[1], names, parse_seeds(args.seeds))
     for name in names:
         for seed in parse_seeds(args.seeds):
             with tempfile.TemporaryDirectory() as tmp:
